@@ -5,22 +5,21 @@ they go through an :class:`~repro.core.context.ApproxContext`, which hands
 every addition and multiplication to an :class:`ExecutionBackend`.  Three
 backends ship with the framework:
 
-* ``"direct"`` — :class:`DirectBackend`, the bit-exact reference: each call
-  evaluates the operator's functional model (exactly what the seed kernels
-  did).
+* ``"direct"`` — :class:`DirectBackend`, the reference: each call
+  evaluates the operator's closed-form model (``Operator.aligned``) in one
+  broadcast pass.  The bit-serial structural models those closed forms
+  were derived from are the test-suite's oracle (``tests/oracles.py``).
 * ``"lut"`` — :class:`LutBackend`, which precomputes truth tables once per
   operator (keyed by the operator name, which embeds its parameters) and
   turns the hot per-butterfly / per-pixel operator calls into single
   fancy-index gathers.  Results are bit-identical to ``"direct"`` — when no
   table strategy applies to a call, it transparently falls back to the
   functional model.
-* ``"compiled"`` — :class:`CompiledBackend`, the ahead-of-time tier: per
-  operator family a *compiled kernel* (``repro.core.kernels``; numba
-  ``@njit`` when numba is importable, closed-form vectorised int arithmetic
-  otherwise) replaces the bit-serial partial-product loops, and wide
+* ``"compiled"`` — :class:`CompiledBackend`, the ahead-of-time tier: wide
   ``bank=True`` calls gather from one dense stacked per-bank table built in
-  a single kernel pass.  Also bit-identical to ``"direct"`` for every
-  operator and stimulus.
+  a single closed-form pass, and the AAM/ABM multipliers run ``@njit``
+  kernels when numba is importable (``repro.core.kernels``).  Also
+  bit-identical to ``"direct"`` for every operator and stimulus.
 
 All eagerly-built tables (sum, pair, bank stacks) and the per-constant
 value tables are allocated through the cross-process shared-memory arena
@@ -120,26 +119,8 @@ class ExecutionBackend(ABC):
 
 
 def _functional(operator: Operator, a, b) -> np.ndarray:
-    """Evaluate the functional model with operands explicitly broadcast.
-
-    Some bit-level models (ACA and friends) allocate their result from the
-    first operand's shape, so mixed-shape operands — a coefficient bank
-    broadcast over data — are expanded here once rather than in every model.
-    """
-    a_arr = np.asarray(a, dtype=np.int64)
-    b_arr = np.asarray(b, dtype=np.int64)
-    if a_arr.ndim and b_arr.ndim and a_arr.shape != b_arr.shape:
-        a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
-    return np.asarray(operator.aligned(a_arr, b_arr), dtype=np.int64)
-
-
-#: Cell-wise bank execution applies when each constant covers at least this
-#: many elements: a bit-serial model over an L2-sized slice with a *scalar*
-#: partner beats one giant streamed pass with an array partner.
-_BANK_CELL_MIN = 256
-#: ... and when the bank itself has at most this many cells (a Python loop
-#: per cell must stay negligible next to the per-cell vector work).
-_MAX_BANK_CELLS = 128
+    """The operator's closed-form model over the broadcast of ``a`` and ``b``."""
+    return np.asarray(operator.aligned(a, b), dtype=np.int64)
 
 
 def _bank_cells(a: np.ndarray, b: np.ndarray, shape: Tuple[int, ...]):
@@ -160,11 +141,12 @@ def _bank_cells(a: np.ndarray, b: np.ndarray, shape: Tuple[int, ...]):
         yield slicer, int(b_exp[index]), a_view[slicer]
 
 
-def _bank_cell_shape(a: np.ndarray, b: np.ndarray,
-                     max_cells: int = _MAX_BANK_CELLS,
-                     cell_min: int = _BANK_CELL_MIN
-                     ) -> Optional[Tuple[int, ...]]:
-    """Broadcast shape when the cell-wise bank strategy applies, else None."""
+def _bank_cell_shape(a: np.ndarray, b: np.ndarray, max_cells: int,
+                     cell_min: int) -> Optional[Tuple[int, ...]]:
+    """Broadcast shape when the cell-wise bank strategy applies, else None:
+    ``b`` has at most ``max_cells`` cells, each covering at least
+    ``cell_min`` elements (a Python loop per cell must stay negligible next
+    to the per-cell vector work)."""
     if a.ndim == 0 or b.ndim == 0 or b.size == 0 or b.size > max_cells:
         return None
     shape = np.broadcast_shapes(a.shape, b.shape)
@@ -177,29 +159,14 @@ def _bank_cell_shape(a: np.ndarray, b: np.ndarray,
 
 
 class DirectBackend(ExecutionBackend):
-    """Bit-exact reference backend: every call runs the functional model.
-
-    ``bank=True`` calls whose cells are large are evaluated one constant at
-    a time with a *scalar* partner — numerically the very sequence the
-    seed-style kernels issued, just without their per-call dispatch — which
-    keeps the bit-serial operator models on cache-sized slices.
-    """
+    """Reference backend: every call is one broadcast pass of the operator's
+    closed-form model, whatever the hints."""
 
     name = "direct"
 
     def execute(self, operator: Operator, a: np.ndarray,
                 b: np.ndarray, bank: bool = False,
                 in_range: bool = False) -> np.ndarray:
-        if bank:
-            a_arr = np.asarray(a, dtype=np.int64)
-            b_arr = np.asarray(b, dtype=np.int64)
-            shape = _bank_cell_shape(a_arr, b_arr)
-            if shape is not None:
-                out = np.empty(shape, dtype=np.int64)
-                for slicer, constant, values in _bank_cells(a_arr, b_arr,
-                                                            shape):
-                    out[slicer] = operator.aligned(values, constant)
-                return out
         return _functional(operator, a, b)
 
 
@@ -460,7 +427,7 @@ def _pair_table(operator: Operator,
     """Eager full truth table, flattened row-major over (a, b), arena-backed.
 
     ``evaluate`` lets the compiled tier build the table through its kernel
-    (a handful of vector passes) instead of the bit-serial model.
+    (numba, where one exists) instead of ``operator.aligned``.
     """
     key = ("pair", operator.family, operator.name)
     table = _cache_get(key)
@@ -659,7 +626,7 @@ class LutBackend(ExecutionBackend):
                 # A table that keeps missing is hot with a drifting operand
                 # domain (DCT intermediates): fill whole chunks around the
                 # missed values, because the per-event overhead of invoking
-                # an approximate operator's bit-level model dwarfs the extra
+                # an approximate operator's model dwarfs the extra
                 # elements per fill, and clustered operands make the
                 # pre-filled neighbourhood pay off.
                 chunks = np.unique(observed >> _VALUE_CHUNK_SHIFT)
@@ -771,28 +738,24 @@ class LutBackend(ExecutionBackend):
 # Compiled backend
 # --------------------------------------------------------------------------- #
 class CompiledBackend(ExecutionBackend):
-    """Ahead-of-time tier: compiled kernels plus dense stacked bank tables.
+    """Ahead-of-time tier: dense stacked bank tables plus numba kernels.
 
-    Per operator family, ``repro.core.kernels`` provides a *kernel* — numba
-    ``@njit`` when numba is importable, a closed-form vectorised
-    shift/mask formulation otherwise — that reproduces
-    :meth:`Operator.aligned` bit-for-bit while collapsing the bit-serial
-    partial-product loops into a handful of batched passes.  Dispatch per
-    call, cheapest strategy first:
+    Each operator is evaluated through its *kernel*: the numba ``@njit``
+    variant from ``repro.core.kernels`` when numba is importable and one
+    exists for the family (AAM, ABM), else the operator's own closed form,
+    :meth:`Operator.aligned`.  Dispatch per call, cheapest strategy first:
 
     1. **Sum tables** for sum-addressable operators (shared with the LUT
        tier — the arena means at most one process ever builds one).
-    2. **Pair tables** for small operators, built *through the kernel* (a
-       few vector passes instead of the bit-serial model).
+    2. **Pair tables** for small operators, built through the kernel.
     3. **Stacked bank tables** for ``bank=True`` calls: one dense
        ``(constants, span)`` table per recurring bank, built in a single
        broadcast kernel call and served as one flat gather — no per-constant
        grouping, sorting or Python looping at serve time.
     4. **Per-constant value tables** (shared with the LUT tier) for scalar
        constants, filled eagerly through the kernel.
-    5. **The kernel itself** for everything else — including out-of-range
-       stimulus, where every kernel except BOOTH's is still bit-exact.
-    6. The functional model for operator families without a kernel.
+    5. **The kernel itself** for everything else, out-of-range stimulus
+       included.
 
     Results are bit-identical to :class:`DirectBackend` for every operator
     and stimulus; the constructor parameters mirror :class:`LutBackend`.
@@ -816,7 +779,7 @@ class CompiledBackend(ExecutionBackend):
         self.min_value_size = int(min_value_size)
         self.max_bank_constants = int(max_bank_constants)
         self.max_bank_table_bytes = int(max_bank_table_bytes)
-        self._kernels: Dict[str, Optional[Kernel]] = {}
+        self._kernels: Dict[str, Kernel] = {}
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -852,35 +815,22 @@ class CompiledBackend(ExecutionBackend):
                     out = self._bank_serve(operator, a_arr, b_arr, kernel)
         if out is not None:
             return out
-        if kernel is not None and (in_range
-                                   or getattr(kernel, "range_safe", True)):
-            if a_arr.ndim and b_arr.ndim and a_arr.shape != b_arr.shape:
-                a_arr, b_arr = np.broadcast_arrays(a_arr, b_arr)
-            return np.asarray(kernel(a_arr, b_arr), dtype=np.int64)
-        return _functional(operator, a_arr, b_arr)
+        return kernel(a_arr, b_arr)
 
-    def _kernel(self, operator: Operator) -> Optional[Kernel]:
+    def _kernel(self, operator: Operator) -> Kernel:
         name = operator.name
         if name not in self._kernels:
-            self._kernels[name] = get_kernel(operator)
+            self._kernels[name] = get_kernel(operator) or operator.aligned
         return self._kernels[name]
-
-    def _evaluate(self, operator: Operator, kernel: Optional[Kernel],
-                  a, b) -> np.ndarray:
-        if kernel is not None:
-            return np.asarray(kernel(a, b), dtype=np.int64)
-        return np.asarray(operator.aligned(a, b), dtype=np.int64)
 
     # ------------------------------------------------------------------ #
     # Strategies (operands verified in range by ``execute``)
     # ------------------------------------------------------------------ #
     def _pair_serve(self, operator: Operator, a: np.ndarray, b: np.ndarray,
-                    kernel: Optional[Kernel]) -> Optional[np.ndarray]:
+                    kernel: Kernel) -> Optional[np.ndarray]:
         lo, hi = operator.input_range()
         span = hi - lo + 1
-        table = _pair_table(
-            operator, None if kernel is None
-            else lambda x, y: self._evaluate(operator, kernel, x, y))
+        table = _pair_table(operator, kernel)
         # Bounds semantics under a (false) in_range claim mirror the LUT
         # tier: positive overshoots raise here and fail over to the kernel.
         try:
@@ -890,14 +840,14 @@ class CompiledBackend(ExecutionBackend):
 
     def _value_serve(self, operator: Operator, values: np.ndarray,
                      constant: Optional[int], side: str,
-                     kernel: Optional[Kernel]) -> Optional[np.ndarray]:
+                     kernel: Kernel) -> Optional[np.ndarray]:
         """Eagerly-filled per-constant table, shared with the LUT tier.
 
         The compiled tier fills the *whole* table in one kernel pass the
-        first time a constant recurs — with a kernel that is a handful of
-        vector passes over ``2**N`` values, cheaper than the lazy-fill
-        bookkeeping it replaces — and completes any partially-filled table
-        inherited from LUT-tier callers the same way.
+        first time a constant recurs — a handful of vector passes over
+        ``2**N`` values, cheaper than the lazy-fill bookkeeping it replaces
+        — and completes any partially-filled table inherited from LUT-tier
+        callers the same way.
         """
         if values.size == 0:
             return None
@@ -921,13 +871,11 @@ class CompiledBackend(ExecutionBackend):
             fresh_index = np.flatnonzero(~filled)
             fresh = fresh_index + lo
             if side == "square":
-                results = self._evaluate(operator, kernel, fresh, fresh)
+                results = kernel(fresh, fresh)
             elif side == "right":
-                results = self._evaluate(operator, kernel, fresh,
-                                         np.int64(constant))
+                results = kernel(fresh, np.int64(constant))
             else:
-                results = self._evaluate(operator, kernel,
-                                         np.int64(constant), fresh)
+                results = kernel(np.int64(constant), fresh)
             table[fresh_index] = results
             filled[fresh_index] = True
         try:
@@ -936,7 +884,7 @@ class CompiledBackend(ExecutionBackend):
             return None  # false in_range claim: fail over to the kernel
 
     def _bank_serve(self, operator: Operator, a: np.ndarray, b: np.ndarray,
-                    kernel: Optional[Kernel]) -> Optional[np.ndarray]:
+                    kernel: Kernel) -> Optional[np.ndarray]:
         """Dense stacked bank table: one flat gather serves the whole call.
 
         The per-bank ``(constants, span)`` table is built in a *single*
@@ -963,9 +911,8 @@ class CompiledBackend(ExecutionBackend):
 
             def build(arrays: List[np.ndarray]) -> None:
                 values = np.arange(lo, hi + 1, dtype=np.int64)
-                arrays[0][...] = self._evaluate(
-                    operator, kernel,
-                    values[np.newaxis, :], constants[:, np.newaxis])
+                arrays[0][...] = kernel(values[np.newaxis, :],
+                                        constants[:, np.newaxis])
 
             arrays, _mode = table_arena.get_or_build(
                 key, [((constants.size, span), np.int64)], build)
@@ -983,14 +930,16 @@ def describe_backends() -> List[Dict[str, object]]:
     """Availability listing for ``repro list`` and the server ``experiments``.
 
     One entry per registered backend; the compiled entry details its engine
-    (numba vs the closed-form vector fallback), the kernelised operator
-    families and whether the shared-memory arena is active.
+    (numba, or the operators' closed forms), the operator families with a
+    numba kernel and whether the shared-memory arena is active.
     """
     descriptions = {
-        "direct": "bit-exact functional models (reference)",
-        "lut": "precomputed lookup tables, bit-identical to direct",
-        "compiled": "compiled kernels + shared stacked tables, "
-                    "bit-identical to direct",
+        "direct": "closed-form operator models, one broadcast pass per call "
+                  "(reference; bit-serial models are the test oracle)",
+        "lut": "precomputed lookup tables over the closed-form models, "
+               "bit-identical to direct",
+        "compiled": "shared stacked bank tables + numba AAM/ABM kernels "
+                    "when available, bit-identical to direct",
     }
     entries: List[Dict[str, object]] = []
     for name in registered_backends():

@@ -1,38 +1,16 @@
-"""Compiled operator kernels: the ``"compiled"`` execution tier's engines.
+"""Optional numba kernels for the ``"compiled"`` execution tier.
 
-The bit-serial operator models in ``repro.operators`` loop over bits or
-partial-product cells — AAM's pruned-array sum is an O(N^2) double loop of
-vector passes — which is what makes the multiplier-bound studies slow on the
-``"direct"`` backend and makes every LUT table build expensive.  This module
-provides, per operator family, a *kernel*: a function ``kernel(a, b)`` that
-returns exactly ``operator.aligned(a, b)`` (bit-identical for every int64
-stimulus) but collapses the bit loops into a handful of batched shift/mask
-passes:
+Every operator evaluates its own closed form (``Operator.aligned``): a handful
+of whole-word shift/mask passes per call, bit-identical to the bit-serial
+structural models the test-suite keeps as its oracle.  The ``"compiled"``
+tier uses those closed forms too, except where numba is importable: the two
+approximate multipliers whose closed forms still loop over partial-product
+rows (AAM, ABM) then get an ``@njit``-compiled element-wise variant — one
+fused pass, no temporaries.
 
-* **AAM** — the pruned-cell sum is aggregated per column group instead of per
-  cell: the ``i = 0`` row contributes ``a_0 * signed(b)`` in one pass, each
-  middle row ``a_i * ((b mod 2^(N-i)) << i)``, and the sign row
-  ``-a_{N-1} * b_0 * 2^(N-1)`` — O(N) passes instead of O(N^2) cells.  The
-  compensation count is one popcount of ``a & bit_reverse(b)``.
-* **ABM** — the Booth rows keep their closed recoding, and the windowed
-  (limited-carry) redundant-to-binary conversion uses the identity that bit
-  ``i`` of a windowed sum equals bit ``i - low`` of the *unmasked* shifted
-  sum (high addend bits only carry upward), removing the per-bit masking.
-* **BOOTH** — the exact recoding sums to the exact product, so the kernel is
-  the product itself (valid for in-range operands; the backend range-scans).
-* **ACA** — bits up to the prediction depth come straight from the full sum;
-  each higher bit is one shifted add.
-* **RCAApx** — all three approximate full-adder cells admit closed forms:
-  type 1 keeps the exact carry chain (carry-in vector ``(a+b) ^ a ^ b``) and
-  flips the sum bit on two input patterns; types 2 and 3 have cell outputs
-  independent of the carry-in, so the approximate region is a single mask
-  pass and the accurate region one add with the speculated carry-in.
-
-When **numba** is importable the heavy multiplier kernels additionally get an
-``@njit``-compiled element-wise variant (single fused pass, no temporaries).
-A numba kernel is only trusted after a runtime probe against the vectorised
-closed form on random stimulus — a silently miscompiled kernel downgrades to
-the closed form instead of corrupting a study.
+A numba kernel is only trusted after a runtime probe against
+``operator.aligned`` on random stimulus: a silently miscompiled kernel
+downgrades to the closed form instead of corrupting a study.
 """
 from __future__ import annotations
 
@@ -41,17 +19,9 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from ..operators.adders.aca import ACAAdder
-from ..operators.adders.etaiv import _BlockCarrySpeculationAdder
-from ..operators.adders.rcaapx import RCAApxAdder
 from ..operators.base import Operator
 from ..operators.multipliers.aam import AAMMultiplier
 from ..operators.multipliers.abm import ABMMultiplier
-from ..operators.multipliers.accurate import (
-    ExactMultiplier,
-    QuantizedOutputMultiplier,
-)
-from ..operators.multipliers.booth import BoothMultiplier
 
 try:  # pragma: no cover - exercised only on the numba-equipped CI leg
     from numba import njit
@@ -62,6 +32,9 @@ except ImportError:
 
 Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
+#: Operator classes with a numba variant (when numba is importable).
+NUMBA_FAMILIES = (AAMMultiplier, ABMMultiplier)
+
 _PROBE_COUNT = 512
 _PROBE_SEED = 20170322
 
@@ -69,231 +42,6 @@ _LOCK = threading.Lock()
 #: Operator names whose numba kernel passed / failed the runtime probe.
 _NUMBA_VERIFIED: set = set()
 _NUMBA_REJECTED: set = set()
-
-
-def _signed(value: np.ndarray, width: int) -> np.ndarray:
-    half = np.int64(1) << (width - 1)
-    return (value ^ half) - half
-
-
-def _popcount(value: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(value).astype(np.int64)
-    # SWAR fallback for NumPy < 2.0 (values here fit in 32 bits).
-    x = value - ((value >> 1) & 0x55555555)
-    x = (x & 0x33333333) + ((x >> 2) & 0x33333333)
-    x = (x + (x >> 4)) & 0x0F0F0F0F
-    return (x * 0x01010101) >> 24
-
-
-def _bit_reverse(value: np.ndarray, width: int) -> np.ndarray:
-    """Reverse the low ``width`` bits of non-negative codes (width <= 32)."""
-    x = value & ((np.int64(1) << width) - 1)
-    x = ((x & 0x55555555) << 1) | ((x >> 1) & 0x55555555)
-    x = ((x & 0x33333333) << 2) | ((x >> 2) & 0x33333333)
-    x = ((x & 0x0F0F0F0F) << 4) | ((x >> 4) & 0x0F0F0F0F)
-    x = ((x & 0x00FF00FF) << 8) | ((x >> 8) & 0x00FF00FF)
-    x = ((x & 0x0000FFFF) << 16) | ((x >> 16) & 0x0000FFFF)
-    return x >> (32 - width)
-
-
-# --------------------------------------------------------------------------- #
-# Vectorised closed-form kernels (always available)
-# --------------------------------------------------------------------------- #
-def _aam_kernel(operator: AAMMultiplier) -> Kernel:
-    n = operator.input_width
-    compensation = operator.compensation
-    mask_n = (np.int64(1) << n) - 1
-
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        ua = a & mask_n
-        ub = b & mask_n
-        # Column-aggregated pruned-cell sum: row i = 0 spans every column
-        # including the signed one, middle rows stay below it, row N-1 only
-        # meets column 0 (with the Baugh-Wooley sign).
-        dropped = (ua & 1) * _signed(ub, n)
-        for i in range(1, n - 1):
-            dropped = dropped + ((ua >> i) & 1) * \
-                ((ub & ((np.int64(1) << (n - i)) - 1)) << i)
-        dropped = dropped - ((((ua >> (n - 1)) & 1) * (ub & 1)) << (n - 1))
-        kept = a * b - dropped
-        if compensation:
-            diagonal = _popcount(ua & _bit_reverse(ub, n))
-            kept = kept + (((diagonal + 1) >> 1) << n)
-        return (_signed((kept >> n) & mask_n, n) << n).astype(np.int64)
-
-    return kernel
-
-
-def _abm_kernel(operator: ABMMultiplier) -> Kernel:
-    n = operator.input_width
-    digits = (n + 1) // 2
-    compensation = operator.compensation
-    window = operator.carry_window
-    mask_n = (np.int64(1) << n) - 1
-
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        ub = b & mask_n
-        sign = (b < 0).astype(np.int64)
-        partial = np.zeros_like(a + b)
-        last = np.zeros_like(partial)
-        comp_bits = np.zeros_like(partial)
-        for k in range(digits):
-            low = 2 * k - 1
-            b_low = (ub >> low) & 1 if low >= 0 else 0
-            b_mid = (ub >> (2 * k)) & 1 if 2 * k < n else sign
-            b_high = (ub >> (2 * k + 1)) & 1 if 2 * k + 1 < n else sign
-            row = ((-2 * b_high + b_mid + b_low) * a) << (2 * k)
-            comp_bits = comp_bits + ((row >> (n - 1)) & 1)
-            if k == digits - 1 and digits > 1:
-                last = row >> n
-            else:
-                partial = partial + (row >> n)
-        if compensation:
-            partial = partial + ((comp_bits + 1) >> 1)
-        if window is None:
-            combined = (partial + last) & mask_n
-        else:
-            ux = partial & mask_n
-            uy = last & mask_n
-            low_width = min(window + 1, n)
-            combined = (ux + uy) & ((np.int64(1) << low_width) - 1)
-            for i in range(window + 1, n):
-                shift = i - window
-                combined = combined | \
-                    (((((ux >> shift) + (uy >> shift)) >> window) & 1) << i)
-        return (_signed(combined, n) << n).astype(np.int64)
-
-    return kernel
-
-
-def _booth_kernel(operator: BoothMultiplier) -> Kernel:
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # The recoded digits sum back to the exact operand, so the row sum is
-        # the exact product (operands in range; the backend guarantees it).
-        return (np.asarray(a, dtype=np.int64)
-                * np.asarray(b, dtype=np.int64))
-
-    # The recoding derives the sign digit from ``b < 0``, not from bit N-1,
-    # so the identity only holds for in-range operands: the backend must
-    # range-scan before trusting this kernel (every other kernel reproduces
-    # the model for arbitrary int64 stimulus).
-    kernel.range_safe = False
-    return kernel
-
-
-def _exact_mul_kernel(operator: ExactMultiplier) -> Kernel:
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (np.asarray(a, dtype=np.int64)
-                * np.asarray(b, dtype=np.int64))
-
-    return kernel
-
-
-def _quantized_mul_kernel(operator: QuantizedOutputMultiplier) -> Kernel:
-    # The model is already closed-form; routing it through the kernel table
-    # lets the compiled tier treat every multiplier uniformly.
-    return lambda a, b: np.asarray(operator.aligned(a, b), dtype=np.int64)
-
-
-def _aca_kernel(operator: ACAAdder) -> Kernel:
-    n = operator.input_width
-    p = operator.prediction_bits
-    mask_n = (np.int64(1) << n) - 1
-
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ua = np.asarray(a, dtype=np.int64) & mask_n
-        ub = np.asarray(b, dtype=np.int64) & mask_n
-        # Bits 0..P of the windowed sums coincide with the full sum (the
-        # window reaches bit 0); each higher bit is bit P of one shifted add.
-        low_width = min(p + 1, n)
-        result = (ua + ub) & ((np.int64(1) << low_width) - 1)
-        for i in range(p + 1, n):
-            shift = i - p
-            result = result | \
-                ((((ua >> shift) + (ub >> shift)) >> p) & 1) << i
-        return _signed(result, n).astype(np.int64)
-
-    return kernel
-
-
-def _rcaapx_kernel(operator: RCAApxAdder) -> Kernel:
-    n = operator.input_width
-    m = operator.approximate_bits
-    fa_type = operator.fa_type
-    mask_n = (np.int64(1) << n) - 1
-    mask_m = (np.int64(1) << m) - 1
-
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ua = np.asarray(a, dtype=np.int64) & mask_n
-        ub = np.asarray(b, dtype=np.int64) & mask_n
-        if m == 0:
-            return _signed((ua + ub) & mask_n, n).astype(np.int64)
-        if fa_type == 1:
-            # Exact carry chain; the sum output flips on (0,1,cin=1) and
-            # (1,0,cin=0) — correct the exact sum bits in the approx region.
-            total = ua + ub
-            cin = total ^ ua ^ ub
-            flips = ((~ua & ub & cin) | (ua & ~ub & ~cin)) & mask_m
-            return _signed((total ^ flips) & mask_n, n).astype(np.int64)
-        if fa_type == 2:
-            # Cell outputs ignore cin: sum = ~(a|b), carry = a|b.
-            low = ~(ua | ub) & mask_m
-            carry_in = ((ua | ub) >> (m - 1)) & 1
-        else:
-            # Type 3 cuts the chain: sum = b, carry = a.
-            low = ub & mask_m
-            carry_in = (ua >> (m - 1)) & 1
-        if m >= n:
-            return _signed(low, n).astype(np.int64)
-        high = (ua >> m) + (ub >> m) + carry_in
-        return _signed((low | (high << m)) & mask_n, n).astype(np.int64)
-
-    return kernel
-
-
-def _eta_kernel(operator: _BlockCarrySpeculationAdder) -> Kernel:
-    n = operator.input_width
-    x = operator.block_size
-    spec_blocks = operator.speculation_blocks
-    mask_n = (np.int64(1) << n) - 1
-    mask_x = (np.int64(1) << x) - 1
-
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        ua = np.asarray(a, dtype=np.int64) & mask_n
-        ub = np.asarray(b, dtype=np.int64) & mask_n
-        # Block 0 takes no carry; each later block adds one speculated carry
-        # generated by the previous window (zero carry-in at its bottom).
-        result = ((ua & mask_x) + (ub & mask_x)) & mask_x
-        for k in range(1, n // x):
-            first = max(0, k - spec_blocks)
-            low_bit = first * x
-            width = (k - first) * x
-            window_mask = (np.int64(1) << width) - 1
-            carry = ((((ua >> low_bit) & window_mask)
-                      + ((ub >> low_bit) & window_mask)) >> width) & 1
-            block = ((ua >> (k * x)) + (ub >> (k * x)) + carry) & mask_x
-            result = result | (block << (k * x))
-        return _signed(result, n).astype(np.int64)
-
-    return kernel
-
-
-#: Fallback (pure NumPy) kernel factories, dispatched by operator class.
-_VECTOR_FACTORIES = [
-    (AAMMultiplier, _aam_kernel),
-    (ABMMultiplier, _abm_kernel),
-    (BoothMultiplier, _booth_kernel),
-    (ExactMultiplier, _exact_mul_kernel),
-    (QuantizedOutputMultiplier, _quantized_mul_kernel),
-    (ACAAdder, _aca_kernel),
-    (RCAApxAdder, _rcaapx_kernel),
-    (_BlockCarrySpeculationAdder, _eta_kernel),
-]
 
 
 # --------------------------------------------------------------------------- #
@@ -403,69 +151,45 @@ else:
     _NUMBA_FACTORIES = []
 
 
-def _find_factory(operator: Operator, factories) -> Optional[Callable]:
-    for klass, factory in factories:
-        if isinstance(operator, klass):
-            return factory
-    return None
-
-
-def _numba_probe_passes(operator: Operator, candidate: Kernel,
-                        reference: Kernel) -> bool:
+def _numba_probe_passes(operator: Operator, candidate: Kernel) -> bool:
     """One-time runtime check of a numba kernel against the closed form."""
     a, b = operator.random_inputs(_PROBE_COUNT, rng=_PROBE_SEED)
     try:
         candidate_out = candidate(a, b)
     except Exception:
         return False
-    return bool(np.array_equal(candidate_out, reference(a, b)))
+    return bool(np.array_equal(candidate_out, operator.aligned(a, b)))
 
 
 def get_kernel(operator: Operator) -> Optional[Kernel]:
-    """Compiled kernel for ``operator`` (``None`` if no family matches).
+    """Verified numba kernel for ``operator``, or ``None``.
 
-    Prefers the numba variant when numba is importable *and* the variant
-    reproduces the vectorised closed form on a random probe; the verdict is
-    cached per operator name.
+    ``None`` (numba missing, no variant for the family, or a failed probe)
+    means the operator's own closed form, ``operator.aligned``, is the
+    fastest evaluation.  The probe verdict is cached per operator name.
     """
-    vector_factory = _find_factory(operator, _VECTOR_FACTORIES)
-    if vector_factory is None:
+    factory = next((factory for klass, factory in _NUMBA_FACTORIES
+                    if isinstance(operator, klass)), None)
+    if factory is None:
         return None
-    vector = vector_factory(operator)
-    numba_factory = _find_factory(operator, _NUMBA_FACTORIES)
-    if numba_factory is None:
-        return vector
-    candidate = numba_factory(operator)
+    candidate = factory(operator)
     name = operator.name
     with _LOCK:
         if name in _NUMBA_REJECTED:
-            return vector
+            return None
         verified = name in _NUMBA_VERIFIED
     if not verified:
-        if _numba_probe_passes(operator, candidate, vector):
-            with _LOCK:
-                _NUMBA_VERIFIED.add(name)
-        else:  # pragma: no cover - defensive: miscompiled numba kernel
-            with _LOCK:
-                _NUMBA_REJECTED.add(name)
-            return vector
+        passed = _numba_probe_passes(operator, candidate)
+        with _LOCK:
+            (_NUMBA_VERIFIED if passed else _NUMBA_REJECTED).add(name)
+        if not passed:  # pragma: no cover - defensive: miscompiled kernel
+            return None
     return candidate
 
 
-def kernel_engine(operator: Operator) -> Optional[str]:
-    """``"numba"`` / ``"vector"`` for a kernelised operator, else ``None``."""
-    if _find_factory(operator, _VECTOR_FACTORIES) is None:
-        return None
-    if _find_factory(operator, _NUMBA_FACTORIES) is not None:
-        with _LOCK:
-            if operator.name not in _NUMBA_REJECTED:
-                return "numba"
-    return "vector"
-
-
 def kernel_families() -> List[str]:
-    """Operator classes with a compiled kernel (for availability listings)."""
-    return sorted(klass.__name__ for klass, _ in _VECTOR_FACTORIES)
+    """Operator classes with a numba variant (for availability listings)."""
+    return sorted(klass.__name__ for klass in NUMBA_FAMILIES)
 
 
 def compiled_stats() -> Dict[str, object]:

@@ -72,6 +72,11 @@ _READY_TIMEOUT_S = 5.0
 _LOCK = threading.Lock()
 #: Open segments of this process: name -> (SharedMemory, views keep-alive).
 _SEGMENTS: Dict[str, object] = {}
+#: One lock per segment name: a single thread of this process creates or
+#: attaches a segment while its peers wait and then rehit that mapping.  Two
+#: handles on one segment would leave the loser's handle unreferenced, and
+#: its finaliser unmaps the memory under views already handed out.
+_NAME_LOCKS: Dict[str, threading.Lock] = {}
 _BUILDS = 0
 _ATTACHES = 0
 _REHITS = 0
@@ -201,6 +206,11 @@ def _unregister_from_tracker(shm) -> None:
         pass
 
 
+def _name_lock(name: str) -> threading.Lock:
+    with _LOCK:
+        return _NAME_LOCKS.setdefault(name, threading.Lock())
+
+
 def _remember(name: str, shm, views: List[np.ndarray]) -> None:
     global _ATEXIT_REGISTERED
     with _LOCK:
@@ -224,7 +234,7 @@ def get_or_build(key: Tuple[object, ...],
     (already mapped by this process) or ``"local"`` (arena disabled or
     unavailable; plain process-private arrays).
     """
-    global _BUILDS, _ATTACHES, _REHITS, _LOCALS
+    global _LOCALS
     layout, payload = _array_layout(spec)
     if not arena_enabled():
         arrays = _local_arrays(layout)
@@ -235,6 +245,17 @@ def get_or_build(key: Tuple[object, ...],
         return arrays, "local"
 
     name = segment_name(key)
+    with _name_lock(name):
+        return _get_or_build_segment(name, key, layout, payload, build,
+                                     timeout_s)
+
+
+def _get_or_build_segment(name: str, key: Tuple[object, ...], layout,
+                          payload: int,
+                          build: Optional[Callable[[List[np.ndarray]], None]],
+                          timeout_s: float) -> Tuple[List[np.ndarray], str]:
+    """:func:`get_or_build` on the arena, called under the name's lock."""
+    global _BUILDS, _REHITS, _LOCALS
     with _LOCK:
         cached = _SEGMENTS.get(name)
         if cached is not None:

@@ -6,7 +6,9 @@ of the full carry chain.  The speculation fails whenever a carry chain longer
 than ``P`` crosses position ``i - P``, which is rare for random operands but
 produces a large-amplitude ("fail rare / fail moderate") error.
 
-The functional model below is bit-accurate with respect to this definition and
+The functional model below evaluates this definition in closed form — bits up
+to the prediction depth come from the full sum, each higher bit from one
+shifted add (:func:`~repro.operators.bitops.windowed_sum`) — bit-accurate and
 vectorised over NumPy arrays; the matching hardware structure (one small
 sub-adder per output bit, heavily shared in practice) is modelled in
 ``repro.hardware.builders``.
@@ -18,7 +20,7 @@ from typing import Dict
 import numpy as np
 
 from ..base import AdderOperator
-from ..bitops import mask, to_signed, to_unsigned
+from ..bitops import to_signed, to_unsigned, windowed_sum
 
 
 class ACAAdder(AdderOperator):
@@ -70,20 +72,8 @@ class ACAAdder(AdderOperator):
     # ------------------------------------------------------------------ #
     def compute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n = self.input_width
-        p = self._prediction_bits
-        ua = to_unsigned(a, n)
-        ub = to_unsigned(b, n)
-
-        result = np.zeros_like(ua)
-        for i in range(n):
-            low = max(0, i - p)
-            window = i - low  # index of the wanted bit inside the window sum
-            wa = (ua >> low) & mask(i - low + 1)
-            wb = (ub >> low) & mask(i - low + 1)
-            window_sum = wa + wb
-            bit = (window_sum >> window) & 1
-            result |= bit << i
-        return to_signed(result, n)
+        return to_signed(windowed_sum(to_unsigned(a, n), to_unsigned(b, n),
+                                      n, self._prediction_bits), n)
 
     # ------------------------------------------------------------------ #
     # Analysis helpers

@@ -75,36 +75,23 @@ class _BlockCarrySpeculationAdder(AdderOperator):
     # ------------------------------------------------------------------ #
     # Functional model
     # ------------------------------------------------------------------ #
-    def _block(self, value: np.ndarray, index: int) -> np.ndarray:
-        """Extract block ``index`` (0 = least significant) as an unsigned field."""
-        x = self._block_size
-        return (value >> (index * x)) & mask(x)
-
-    def _speculated_carry(self, ua: np.ndarray, ub: np.ndarray,
-                          block_index: int) -> np.ndarray:
-        """Carry entering ``block_index``, speculated from previous blocks."""
-        if block_index == 0:
-            return np.zeros_like(ua)
-        x = self._block_size
-        first = max(0, block_index - self.speculation_blocks)
-        span = block_index - first
-        low_bit = first * x
-        width = span * x
-        wa = (ua >> low_bit) & mask(width)
-        wb = (ub >> low_bit) & mask(width)
-        return ((wa + wb) >> width) & 1
-
     def compute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n = self.input_width
         x = self._block_size
         ua = to_unsigned(a, n)
         ub = to_unsigned(b, n)
-
-        result = np.zeros_like(ua)
-        for k in range(self.block_count):
-            carry_in = self._speculated_carry(ua, ub, k)
-            block_sum = self._block(ua, k) + self._block(ub, k) + carry_in
-            result |= (block_sum & mask(x)) << (k * x)
+        # Block 0 takes no carry; each later block adds the carry out of its
+        # speculation window (the previous blocks, zero carry-in at the
+        # bottom).  Higher operand bits only carry upward, so a block's sum
+        # needs no masking of the operands above it.
+        result = (ua + ub) & mask(x)
+        for k in range(1, self.block_count):
+            low_bit = max(0, k - self.speculation_blocks) * x
+            width = k * x - low_bit
+            carry = ((((ua >> low_bit) & mask(width))
+                      + ((ub >> low_bit) & mask(width))) >> width) & 1
+            block = ((ua >> (k * x)) + (ub >> (k * x)) + carry) & mask(x)
+            result = result | (block << (k * x))
         return to_signed(result, n)
 
     # ------------------------------------------------------------------ #

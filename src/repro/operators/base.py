@@ -3,7 +3,13 @@
 Every arithmetic operator studied in the paper — accurate, truncated, rounded
 or functionally approximate — is modelled as an :class:`Operator` with a
 bit-accurate, vectorised ``compute`` method operating on two's-complement
-integer codes (NumPy ``int64``).
+integer codes (NumPy ``int64``) and broadcasting its operands like any NumPy
+binary operation.  ``compute`` evaluates a closed form: the bit and cell
+loops of the approximate operators' structural descriptions (ACA windows,
+RCAApx cell ripple, ETA blocks, AAM partial products, ABM conversion) are
+collapsed into a handful of whole-word shift/mask passes.  Those bit-serial
+structural models live on as the test-suite's oracle (``tests/oracles.py``),
+which every closed form is checked against bit for bit.
 
 Two families exist:
 

@@ -38,6 +38,23 @@ def get_bit(value: IntLike, position: int) -> np.ndarray:
     return (np.asarray(value, dtype=np.int64) >> position) & 1
 
 
+def windowed_sum(ua: np.ndarray, ub: np.ndarray, width: int,
+                 depth: int) -> np.ndarray:
+    """Unsigned ``width``-bit sum whose bit ``i`` sees only operand bits
+    ``i - depth .. i`` (carry propagation limited to ``depth`` positions).
+
+    Bits ``0 .. depth`` coincide with the full sum, because their windows
+    reach bit 0.  Every higher bit ``i`` is bit ``depth`` of the operands
+    shifted down by ``i - depth``: the addend bits above the window only
+    carry upward, so they never reach bit ``depth``.
+    """
+    result = (ua + ub) & mask(min(depth + 1, width))
+    for i in range(depth + 1, width):
+        shift = i - depth
+        result = result | ((((ua >> shift) + (ub >> shift)) >> depth) & 1) << i
+    return result
+
+
 def get_bits(value: IntLike, low: int, high: int) -> np.ndarray:
     """Extract the bit field ``[low, high]`` inclusive, aligned to bit 0."""
     if high < low:

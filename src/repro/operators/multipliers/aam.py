@@ -11,7 +11,9 @@ The functional model works on the signed partial-product decomposition of the
 two's-complement product (the Baugh-Wooley signs are carried by the cell
 values), keeps the cells of weight ``>= 2**N``, and adds the compensation
 estimated from the ``i + j = N - 1`` diagonal.  The result is the upper-half
-product, bit-accurate with respect to this structural description.
+product, bit-accurate with respect to this structural description.  The
+removed cells are summed per row rather than per cell (O(N) vector passes
+instead of O(N^2)), and the diagonal count is one popcount.
 """
 from __future__ import annotations
 
@@ -19,9 +21,29 @@ from typing import Dict
 
 import numpy as np
 
-from ...fxp.quantize import wrap_to_width
 from ..base import MultiplierOperator
-from ..bitops import get_bit, to_unsigned
+from ..bitops import mask, to_signed, to_unsigned
+
+
+def _popcount(value: np.ndarray) -> np.ndarray:
+    if hasattr(np, "bitwise_count"):
+        return np.bitwise_count(value).astype(np.int64)
+    # SWAR fallback for NumPy < 2.0 (values here fit in 32 bits).
+    x = value - ((value >> 1) & 0x55555555)
+    x = (x & 0x33333333) + ((x >> 2) & 0x33333333)
+    x = (x + (x >> 4)) & 0x0F0F0F0F
+    return (x * 0x01010101) >> 24
+
+
+def _bit_reverse(value: np.ndarray, width: int) -> np.ndarray:
+    """Reverse the low ``width`` bits of non-negative codes (width <= 32)."""
+    x = value & mask(width)
+    x = ((x & 0x55555555) << 1) | ((x >> 1) & 0x55555555)
+    x = ((x & 0x33333333) << 2) | ((x >> 2) & 0x33333333)
+    x = ((x & 0x0F0F0F0F) << 4) | ((x >> 4) & 0x0F0F0F0F)
+    x = ((x & 0x00FF00FF) << 8) | ((x >> 8) & 0x00FF00FF)
+    x = ((x & 0x0000FFFF) << 16) | ((x >> 16) & 0x0000FFFF)
+    return x >> (32 - width)
 
 
 class AAMMultiplier(MultiplierOperator):
@@ -70,53 +92,29 @@ class AAMMultiplier(MultiplierOperator):
     # ------------------------------------------------------------------ #
     # Functional model
     # ------------------------------------------------------------------ #
-    def _cell_sign(self, i: int, j: int) -> int:
-        """Sign of partial-product cell ``(i, j)`` for two's-complement operands.
-
-        Writing ``a = -a_{N-1} 2^{N-1} + sum a_i 2^i`` (same for ``b``), the
-        cross terms involving exactly one sign bit are negative.
-        """
-        n = self.input_width
-        negatives = (i == n - 1) ^ (j == n - 1)
-        return -1 if negatives else 1
-
-    def _dropped_sum(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Signed value of every pruned cell (columns ``i + j <= N - 2``) plus
-        the diagonal cells (column ``N - 1``), which are also removed from the
-        array and only contribute through the compensation estimate."""
-        n = self.input_width
-        ua = to_unsigned(a, n)
-        ub = to_unsigned(b, n)
-        total = np.zeros_like(ua)
-        for i in range(n):
-            for j in range(0, n - i):
-                cell = get_bit(ua, i) & get_bit(ub, j)
-                weight = self._cell_sign(i, j) * (1 << (i + j))
-                total = total + cell * weight
-        return total
-
-    def _diagonal_ones(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Number of asserted AND terms on the ``i + j = N - 1`` diagonal."""
-        n = self.input_width
-        ua = to_unsigned(a, n)
-        ub = to_unsigned(b, n)
-        count = np.zeros_like(ua)
-        for i in range(n):
-            count = count + (get_bit(ua, i) & get_bit(ub, n - 1 - i))
-        return count
-
     def compute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n = self.input_width
-        product = self.reference(a, b)
-        kept = product - self._dropped_sum(a, b)
+        ua = to_unsigned(a, n)
+        ub = to_unsigned(b, n)
+        # Signed value of the removed cells (columns i + j <= N - 1: the
+        # pruned triangle plus the diagonal, which only contributes through
+        # the compensation), summed per row instead of per cell.  Row 0 meets
+        # every column, its cell (0, N-1) carrying the Baugh-Wooley minus, so
+        # it sums to a_0 * signed(b); each middle row i holds the low N - i
+        # bits of b; the sign row N - 1 only meets column 0, negatively.
+        dropped = (ua & 1) * to_signed(ub, n)
+        for i in range(1, n - 1):
+            dropped = dropped + ((ua >> i) & 1) * ((ub & mask(n - i)) << i)
+        dropped = dropped - ((((ua >> (n - 1)) & 1) * (ub & 1)) << (n - 1))
+        kept = self.reference(a, b) - dropped
         if self._compensation:
             # Each asserted diagonal AND term statistically contributes half a
             # carry into column N; the AND/OR compensation circuit realises
-            # ceil(count / 2), which is what the functional model uses.
-            comp = (self._diagonal_ones(a, b) + 1) >> 1
-            kept = kept + (comp << n)
-        result = kept >> n
-        return np.asarray(wrap_to_width(result, n), dtype=np.int64)
+            # ceil(count / 2), which is what the functional model uses.  The
+            # diagonal a_i & b_(N-1-i) is one AND against b bit-reversed.
+            diagonal = _popcount(ua & _bit_reverse(ub, n))
+            kept = kept + (((diagonal + 1) >> 1) << n)
+        return to_signed(kept >> n, n)
 
     # ------------------------------------------------------------------ #
     # Analysis helpers

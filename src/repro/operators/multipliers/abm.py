@@ -25,9 +25,8 @@ from typing import Dict
 
 import numpy as np
 
-from ...fxp.quantize import wrap_to_width
 from ..base import MultiplierOperator
-from ..bitops import mask, to_unsigned
+from ..bitops import to_signed, to_unsigned, windowed_sum
 from .booth import booth_digit_count, booth_partial_products
 
 
@@ -98,47 +97,29 @@ class ABMMultiplier(MultiplierOperator):
     # ------------------------------------------------------------------ #
     # Functional model
     # ------------------------------------------------------------------ #
-    def _limited_carry_add(self, x: np.ndarray, y: np.ndarray,
-                           width: int) -> np.ndarray:
-        """ACA-style addition with a bounded carry-propagation window."""
-        if self._carry_window is None:
-            return (x + y) & mask(width)
-        window = self._carry_window
-        ux = to_unsigned(x, width)
-        uy = to_unsigned(y, width)
-        result = np.zeros_like(ux)
-        for i in range(width):
-            low = max(0, i - window)
-            wa = (ux >> low) & mask(i - low + 1)
-            wb = (uy >> low) & mask(i - low + 1)
-            bit = ((wa + wb) >> (i - low)) & 1
-            result |= bit << i
-        return result
-
     def compute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         n = self.input_width
         rows = booth_partial_products(a, b, n)
 
         # Prune each row below column N (fixed-width grid) and collect the
-        # column N-1 bits that feed the compensation circuit.
-        kept_rows = []
-        comp_bits = np.zeros_like(np.asarray(a, dtype=np.int64))
-        for row in rows:
-            kept_rows.append(np.asarray(row, dtype=np.int64) >> n)
-            comp_bits = comp_bits + ((np.asarray(row, dtype=np.int64) >> (n - 1)) & 1)
-
-        # Carry-save accumulation of the kept rows: all rows but the last are
-        # reduced exactly (the compressor tree), leaving two redundant vectors
-        # that the (approximate) final conversion combines.
-        partial = kept_rows[0]
-        for row in kept_rows[1:-1]:
-            partial = partial + row
-        last = kept_rows[-1] if len(kept_rows) > 1 else np.zeros_like(partial)
+        # column N-1 bits that feed the compensation circuit.  Carry-save
+        # accumulation of the kept rows: all rows but the last are reduced
+        # exactly (the compressor tree), leaving two redundant vectors that
+        # the (approximate) final conversion combines.
+        kept = [row >> n for row in rows]
+        comp_bits = sum((row >> (n - 1)) & 1 for row in rows)
+        partial, last = (sum(kept[:-1]), kept[-1]) if len(kept) > 1 \
+            else (kept[0], 0)
 
         if self._compensation:
             # Each asserted column-(N-1) bit statistically carries half an LSB
             # into the kept half; the compensation adds ceil(count / 2).
             partial = partial + ((comp_bits + 1) >> 1)
 
-        combined = self._limited_carry_add(partial, last, n)
-        return np.asarray(wrap_to_width(combined, n), dtype=np.int64)
+        # The final conversion: a full carry-propagate add, or the
+        # limited-carry (ACA-style) add of the approximate variant.
+        if self._carry_window is None:
+            return to_signed(partial + last, n)
+        return to_signed(windowed_sum(to_unsigned(partial, n),
+                                      to_unsigned(last, n),
+                                      n, self._carry_window), n)

@@ -5,10 +5,14 @@ machine-wide — the first caller builds, every other process (and every later
 run) attaches to the very same memory — with graceful degradation to
 process-private arrays when shared memory is unavailable or opted out.
 """
+import gc
 import os
 import subprocess
 import sys
+import threading
+import time
 import uuid
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -98,6 +102,44 @@ class TestLocalModes(object):
         assert table_arena.purge(force=True) >= 1
         assert table_arena.arena_stats()["registry_segments"] == 0
         assert table_arena.segment_refcount(key) is None
+
+
+class TestInProcessRace(object):
+    def test_threads_racing_one_key_share_one_build(self):
+        """Threads of one process racing one key get one mapping.
+
+        A losing second handle on the segment would be dropped, and its
+        finaliser would unmap the memory under views already handed out.
+        """
+        key = _unique_key("threads")
+        builds = []
+        start = threading.Barrier(8)
+
+        def build(arrays):
+            builds.append(threading.get_ident())
+            time.sleep(0.1)  # widen the race window
+            arrays[0][...] = np.arange(arrays[0].size, dtype=np.int64)
+
+        def worker():
+            start.wait()
+            return table_arena.get_or_build(key, [((4096,), np.int64)],
+                                            build)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads more often
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(worker) for _ in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        gc.collect()  # would finalise (and unmap) any dropped handle
+        assert len(builds) == 1
+        assert sorted(mode for _, mode in results) == ["built"] + ["rehit"] * 7
+        first = results[0][0][0]
+        for arrays, _ in results:
+            assert np.shares_memory(arrays[0], first)
+            assert np.array_equal(arrays[0], np.arange(4096))
 
 
 class TestStaleSegments(object):
