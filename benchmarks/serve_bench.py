@@ -2,14 +2,14 @@
 """Load test of the evaluation server, emitting ``BENCH_serve.json``.
 
 The server exists to amortise cold costs — interpreter start, NumPy import,
-LUT table construction, hardware characterisation — across requests.  This
-bench measures exactly that amortisation:
+hardware characterisation — across requests.  This bench measures exactly
+that amortisation:
 
 * **cold one-shot baseline** — the same single design point evaluated in a
   fresh ``python`` subprocess (the ``python -m repro``-style cost a user
   pays without a server), timed end to end including interpreter start;
 * **cold server pass** — each operator's first evaluation against the
-  server (tables, characterisation and the store record are built here);
+  server (characterisation and the store record are built here);
 * **warm concurrent pass** — ``--clients`` threads each issue
   ``--requests`` evaluations of already-recorded points, giving the warm
   latency distribution (p50/p95/p99) and throughput.
@@ -98,7 +98,7 @@ def cold_oneshot_seconds(base: dict, operator: str) -> float:
         "from repro.core.study import Study\n"
         f"study = Study().workload({base['workload']!r}, "
         f"**{base['config']!r})\n"
-        f"study.adders([{operator!r}]).seed({SEED}).backend('lut')\n"
+        f"study.adders([{operator!r}]).seed({SEED})\n"
         "assert study.run().rows\n"
     )
     start = time.perf_counter()
@@ -186,7 +186,6 @@ def bench(url: str, reduced: bool, clients: int,
             "version": status.get("version"),
             "workers": status.get("workers"),
             "batching": status.get("batching"),
-            "table_cache": status.get("table_cache"),
             "store": status.get("store"),
         },
     }

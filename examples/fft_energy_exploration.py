@@ -37,10 +37,7 @@ def main() -> None:
 
     rows = []
     for adder in adders:
-        # The "lut" backend serves repeated operator calls from cached truth
-        # tables; the records are bit-identical to the "direct" reference.
-        fft = FixedPointFFT(32, 16, context=ApproxContext(adder=adder,
-                                                          backend="lut"))
+        fft = FixedPointFFT(32, 16, context=ApproxContext(adder=adder))
         psnr = fft_output_psnr(fft, signals)
         multiplier = minimal_multiplier_for(adder)
         energy = energy_model.application_energy_pj(fft.operation_counts(),

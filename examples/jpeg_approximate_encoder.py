@@ -41,8 +41,7 @@ def main() -> None:
     print(f"{'adder':16s} {'MSSIM':>7s} {'DCT energy pJ':>14s} {'~size bytes':>12s}")
     for spec in ADDER_SPECS:
         adder = parse_operator(spec)
-        encoder = JpegEncoder(quality=90,
-                              context=ApproxContext(adder=adder, backend="lut"))
+        encoder = JpegEncoder(quality=90, context=ApproxContext(adder=adder))
         outcome = encoder.encode_decode(image)
         score = mssim(reference.reconstructed, outcome.reconstructed)
         energy = energy_model.application_energy_pj(

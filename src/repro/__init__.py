@@ -12,8 +12,8 @@ The package is organised as the paper's APXPERF framework:
   the other error metrics;
 * :mod:`repro.core` — the characterisation harness, operator registry,
   design-space sweeps, the datapath energy model (Equation 1), and the
-  :class:`ApproxContext` / execution-backend layer (``"direct"`` or the
-  table-driven ``"lut"``, bit-identical records) consumed by the kernels;
+  :class:`ApproxContext` / execution-backend layer consumed by the
+  kernels;
 * :mod:`repro.apps` — the four instrumented applications (FFT, JPEG/DCT,
   HEVC motion compensation, K-means);
 * :mod:`repro.workloads` — the unified workload plugin API wrapping those
@@ -43,7 +43,6 @@ from .core import (
     DirectBackend,
     ExecutionBackend,
     ExperimentResult,
-    LutBackend,
     OperatorCharacterization,
     ParetoFront,
     ResultBundle,
@@ -67,7 +66,6 @@ __all__ = [
     "DesignSpace",
     "ExecutionBackend",
     "DirectBackend",
-    "LutBackend",
     "ExperimentResult",
     "ParetoFront",
     "ResultBundle",

@@ -9,8 +9,8 @@ experiment (Figure 6).
 Blocks are processed in batches: the transform accepts a ``(blocks, 8, 8)``
 array and — by default — executes each matrix pass *stage-fused*: every
 coefficient multiplication of the pass runs in one batched context call with
-the cosine matrix as a per-element coefficient bank (``bank=True``), and the
-accumulations follow as one batched adder call per accumulation step.
+the cosine matrix broadcast over the blocks, and the accumulations follow as
+one batched adder call per accumulation step.
 ``fused=False`` replays the seed-style loop (one scalar-coefficient call per
 matrix entry); results and operation counts are bit-identical either way.
 """
@@ -119,7 +119,7 @@ class FixedPointDCT:
             ctx = self.context
         blocks, n, columns = data.shape
         if self.fused:
-            # Stage-fused: one banked call per dot-product step — data row k
+            # Stage-fused: one batched call per dot-product step — data row k
             # against coefficient column k (every output row at once) —
             # followed by one batched accumulation.  Each output row r
             # accumulates term k = 0..n-1 in the same order as the seed
@@ -132,7 +132,7 @@ class FixedPointDCT:
             for k in range(n):
                 operands = data[:, np.newaxis, k, :]
                 bank = coeffs[np.newaxis, :, k, np.newaxis]
-                products = ctx.mul(operands, bank, bank=True)
+                products = ctx.mul(operands, bank)
                 term = ctx.wrap(products >> self.coeff_frac_bits)
                 accumulator = ctx.add(accumulator, term)
             return accumulator

@@ -9,12 +9,10 @@ the classical fixed-point FFT arrangement.
 
 Execution is *stage-fused* by default: each of the ``log2(size)`` stages
 issues ten batched context calls covering every butterfly at once, with the
-stage's twiddles gathered into a per-element coefficient bank
-(``ctx.mul(..., bank=True)``) so LUT backends can group them by unique
-constant.  ``fused=False`` selects the seed-style per-twiddle loop — one
-round of context calls per twiddle offset — which is bit-identical and
-charges exactly the same operation counts, but pays O(size/2) Python
-dispatches per stage.
+stage's twiddle column broadcast over the whole block.  ``fused=False``
+selects the seed-style per-twiddle loop — one round of context calls per
+twiddle offset — which is bit-identical and charges exactly the same
+operation counts, but pays O(size/2) Python dispatches per stage.
 """
 from __future__ import annotations
 
@@ -129,10 +127,9 @@ class FixedPointFFT:
     # ------------------------------------------------------------------ #
     # Instrumented arithmetic
     # ------------------------------------------------------------------ #
-    def _mul(self, ctx: ApproxContext, a: np.ndarray, twiddle,
-             bank: bool = False) -> np.ndarray:
+    def _mul(self, ctx: ApproxContext, a: np.ndarray, twiddle) -> np.ndarray:
         """Q1.15 x Q1.15 product re-aligned to Q1.15 (shift by frac_bits)."""
-        product = ctx.mul(a, twiddle, bank=bank)
+        product = ctx.mul(a, twiddle)
         return ctx.wrap(product >> self.frac_bits)
 
     @staticmethod
@@ -181,8 +178,8 @@ class FixedPointFFT:
             if self.fused:
                 # Stage-fused: every butterfly of the stage in one batched
                 # pass — rows are twiddle offsets, columns are the groups
-                # sharing that twiddle, and the twiddle column broadcasts as
-                # a coefficient bank over the whole (half, groups) block.
+                # sharing that twiddle, and the twiddle column broadcasts
+                # over the whole (half, groups) block.
                 offsets = np.arange(half, dtype=np.int64)
                 starts = np.arange(0, self.size, 2 * half, dtype=np.int64)
                 tops = offsets[:, None] + starts[None, :]
@@ -196,10 +193,10 @@ class FixedPointFFT:
                 b_re, b_im = self._halve(x_re[bottoms]), self._halve(x_im[bottoms])
 
                 # Complex twiddle multiplication (4 real mult, 2 real add).
-                prod_re = ctx.sub(self._mul(ctx, b_re, w_re, bank=True),
-                                  self._mul(ctx, b_im, w_im, bank=True))
-                prod_im = ctx.add(self._mul(ctx, b_re, w_im, bank=True),
-                                  self._mul(ctx, b_im, w_re, bank=True))
+                prod_re = ctx.sub(self._mul(ctx, b_re, w_re),
+                                  self._mul(ctx, b_im, w_im))
+                prod_im = ctx.add(self._mul(ctx, b_re, w_im),
+                                  self._mul(ctx, b_im, w_re))
 
                 # Butterfly combine (4 real additions).
                 x_re[tops] = ctx.add(a_re, prod_re)

@@ -11,10 +11,9 @@ output (Tables III and IV).
 The multiplications are by small constant coefficients, which is why the
 datapath model charges them as constant-coefficient multiplications.  By
 default every non-zero tap of a phase is evaluated in one *stage-fused*
-context call with the taps as a coefficient bank (``bank=True``), so LUT
-backends serve the whole phase from cached per-tap tables; ``fused=False``
-replays the seed-style per-tap loop, bit-identical and with the same
-operation counts.
+context call with the taps broadcast over the stacked sample windows;
+``fused=False`` replays the seed-style per-tap loop, bit-identical and with
+the same operation counts.
 """
 from __future__ import annotations
 
@@ -118,10 +117,7 @@ class MotionCompensationFilter:
             return accumulator
         ctx = self.context
         scaled_samples = np.asarray(samples, dtype=np.int64) << self._pixel_shift
-        # in_range=False: second-pass samples are first-pass intermediates,
-        # which may overshoot the pixel range (and thus the datapath grid).
-        product = ctx.mul(scaled_samples, int(coefficient) << self._coeff_shift,
-                          in_range=False)
+        product = ctx.mul(scaled_samples, int(coefficient) << self._coeff_shift)
         # Re-align the product to plain pixel*coefficient units; the HEVC
         # intermediate values then fit the 16-bit accumulation by design.
         term = ctx.wrap(product >> (self._pixel_shift + self._coeff_shift))
@@ -143,7 +139,7 @@ class MotionCompensationFilter:
 
         accumulator = np.zeros(image.shape, dtype=np.int64)
         if self.fused:
-            # Stage-fused: every non-zero tap's product in one banked call
+            # Stage-fused: every non-zero tap's product in one batched call
             # (zero taps are skipped exactly as the seed-style loop skips
             # them, so operation counts match), then one accumulation per
             # tap in the same order.
@@ -156,11 +152,7 @@ class MotionCompensationFilter:
             bank = np.asarray([coefficient << self._coeff_shift
                                for _, coefficient in active],
                               dtype=np.int64).reshape(-1, 1, 1)
-            # in_range=False: second-pass samples are first-pass
-            # intermediates, which may overshoot the pixel range (and thus
-            # the datapath grid).
-            products = ctx.mul(stacked << self._pixel_shift, bank, bank=True,
-                               in_range=False)
+            products = ctx.mul(stacked << self._pixel_shift, bank)
             terms = ctx.wrap(products >> (self._pixel_shift + self._coeff_shift))
             for tap in range(len(active)):
                 accumulator = ctx.add(accumulator, terms[tap])

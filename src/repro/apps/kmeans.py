@@ -12,10 +12,9 @@ Coordinates are represented as Q1.15 codes in ``[-1, 1)``; the squared
 distances are accumulated on the 16-bit datapath after re-alignment, exactly
 like the other kernels.  By default the distance computation is *stage-fused*:
 every centroid is evaluated in one batched context call per dimension, with
-the centroid coordinates as a coefficient bank (``bank=True``) and the
-squaring passing the same array twice so LUT backends serve both from
-one-dimensional tables.  ``fused=False`` replays the seed-style per-centroid
-loop, bit-identical and with the same operation counts.
+the centroid coordinates broadcast over the points.  ``fused=False`` replays
+the seed-style per-centroid loop, bit-identical and with the same operation
+counts.
 """
 from __future__ import annotations
 
@@ -120,7 +119,7 @@ class FixedPointKMeans:
         total = np.zeros((points.shape[0], centers.shape[0]), dtype=np.int64)
         for dim in range(points.shape[1]):
             delta = ctx.sub(points[:, dim][:, np.newaxis],
-                            centers[np.newaxis, :, dim], bank=True)
+                            centers[np.newaxis, :, dim])
             square = ctx.mul(delta, delta)
             # Re-align the Q2.30 square onto the Q1.15 data grid; squared
             # deltas are small, so the halved dynamic keeps them in range.

@@ -1,6 +1,6 @@
 """``python -m repro`` — the reproduction's command-line front end.
 
-Ten subcommands wrap the experiment registry behind machine-readable JSON
+Nine subcommands wrap the experiment registry behind machine-readable JSON
 output (one document on stdout; progress and diagnostics go to stderr,
 which ``--quiet`` / ``REPRO_QUIET=1`` silences):
 
@@ -21,8 +21,6 @@ which ``--quiet`` / ``REPRO_QUIET=1`` silences):
   replays warm.  ``--gate-exhaustive`` / ``--max-cost-fraction`` turn the
   run into the CI gate: the searched front must equal the exhaustively
   enumerated front at a bounded fraction of its evaluation cost.
-* ``bench`` — wall-clock comparison of the execution backends on a named
-  experiment, the CLI face of ``benchmarks/perf_bench.py``'s quick mode.
 * ``fleet`` — lease-based fleet execution over a shared queue directory
   (:mod:`repro.fleet`): ``plan`` carves the suite into shard tasks,
   ``work`` runs a crash-safe claim/heartbeat/commit worker, ``status``
@@ -57,9 +55,9 @@ import os
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from .core.backends import backend_spec, describe_backends, registered_backends
+from .core.backends import describe_backends
 from .core.study import parse_shard, resolve_workers
 
 PROG = "python -m repro"
@@ -101,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "CPU count; REPRO_WORKERS overrides)")
     run.add_argument("--backend", default="direct", metavar="SPEC",
                      help="execution backend of the application sweeps "
-                          "(e.g. 'direct', 'lut'; records are bit-identical)")
+                          "(default: %(default)s)")
     run.add_argument("--store", metavar="DIR", default=None,
                      help="persistent result store: checkpoints every sweep "
                           "point and serves completed ones on re-runs")
@@ -139,24 +137,6 @@ def build_parser() -> argparse.ArgumentParser:
     lister.add_argument("--no-ablations", dest="ablations",
                         action="store_false",
                         help="hide the extension ablation experiments")
-
-    bench = commands.add_parser(
-        "bench", help="time the execution backends on one experiment",
-        description="Run one experiment per execution backend and report "
-                    "wall seconds plus record identity — a quick CLI "
-                    "counterpart of benchmarks/perf_bench.py.")
-    bench.add_argument("--experiment", default="fft_joint_frontier",
-                       metavar="NAME",
-                       help="experiment to time (default: %(default)s)")
-    bench.add_argument("--backends", nargs="+", default=["direct", "lut"],
-                       metavar="SPEC",
-                       help="backends to compare (default: direct lut)")
-    bench.add_argument("--full", dest="reduced", action="store_false",
-                       help="time the full sweep density instead of the "
-                            "reduced one")
-    bench.set_defaults(reduced=True)
-    bench.add_argument("--output", metavar="PATH", default=None,
-                       help="also write the JSON document to PATH")
 
     search = commands.add_parser(
         "search", help="adaptively search a design space for its front",
@@ -217,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="run the long-lived evaluation server",
         description="Serve evaluate/pareto/experiments/status requests over "
-                    "JSON-over-HTTP, keeping the LUT tables, the hardware "
-                    "characterisation cache and the result store warm "
+                    "JSON-over-HTTP, keeping the hardware characterisation "
+                    "cache and the result store warm "
                     "between requests and batching concurrent same-workload "
                     "evaluations into single sweeps.")
     serve.add_argument("--host", default="127.0.0.1", metavar="ADDR",
@@ -229,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=4, metavar="N",
                        help="maximum concurrent sweep computations "
                             "(default: %(default)s)")
-    serve.add_argument("--backend", default="lut", metavar="SPEC",
+    serve.add_argument("--backend", default="direct", metavar="SPEC",
                        help="default execution backend for requests that "
                             "do not name one (default: %(default)s)")
     serve.add_argument("--store", metavar="DIR", default=None,
@@ -240,10 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how long a cold evaluate waits to coalesce "
                             "with concurrent requests; 0 disables batching "
                             "(default: %(default)s)")
-    serve.add_argument("--table-cache-limit", type=int, default=None,
-                       metavar="N",
-                       help="LRU cap on the process-wide LUT table cache "
-                            "(default: REPRO_TABLE_CACHE_LIMIT or 128)")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="request deadline for load shedding: a request "
@@ -546,46 +522,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from .core.backends import clear_table_cache
-    from .experiments import run_all
-
-    runs: Dict[str, Dict[str, object]] = {}
-    rows_by_backend: Dict[str, List[Dict[str, object]]] = {}
-    for backend in args.backends:
-        clear_table_cache()
-        started = time.perf_counter()
-        bundle = run_all(reduced=args.reduced, backend=backend,
-                         experiments=[args.experiment])
-        seconds = time.perf_counter() - started
-        result = bundle.get(args.experiment)
-        rows_by_backend[backend_spec(backend)] = result.rows
-        runs[backend_spec(backend)] = {"seconds": round(seconds, 4),
-                                       "rows": len(result.rows)}
-        _log(f"{args.experiment} on {backend!r}: {seconds:.2f}s")
-    baseline = backend_spec(args.backends[0])
-    for backend, record in runs.items():
-        record["speedup"] = round(
-            runs[baseline]["seconds"] / record["seconds"], 2) \
-            if record["seconds"] else None
-    identical = all(rows == rows_by_backend[baseline]
-                    for rows in rows_by_backend.values())
-    document = {
-        "command": "bench",
-        "experiment": args.experiment,
-        "reduced": args.reduced,
-        "available_backends": sorted(registered_backends()),
-        "backend_details": describe_backends(),
-        "backends": runs,
-        "identical_records": identical,
-    }
-    _emit(document, output=args.output)
-    if not identical:
-        _log("FAIL: backend records diverged")
-        return 1
-    return 0
-
-
 def _cmd_search(args: argparse.Namespace) -> int:
     from .search import get_target
     from .search.evaluator import search_row
@@ -745,7 +681,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     server = EvalServer(host=args.host, port=args.port, store=args.store,
                         backend=args.backend, workers=args.workers,
                         batch_window_s=args.batch_window,
-                        table_cache_limit=args.table_cache_limit,
                         deadline_s=args.deadline)
     _log(f"serving on {server.url} (workers={args.workers}, "
          f"backend={args.backend!r}, store={args.store!r}); Ctrl-C to stop")
@@ -850,7 +785,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_help(sys.stderr)
         return 2
     handlers = {"run": _cmd_run, "merge": _cmd_merge,
-                "list": _cmd_list, "bench": _cmd_bench,
+                "list": _cmd_list,
                 "search": _cmd_search, "fleet": _cmd_fleet,
                 "report": _cmd_report, "serve": _cmd_serve,
                 "query": _cmd_query, "store": _cmd_store}

@@ -10,36 +10,23 @@ routes their evaluation through a pluggable
 
     from repro.core import ApproxContext
 
-    ctx = ApproxContext(adder="ADDt(16,10)", backend="lut")
+    ctx = ApproxContext(adder="ADDt(16,10)")
     fft = FixedPointFFT(32, context=ctx)
     result = fft.forward(signal)
     print(ctx.counts, ctx.energy_breakdown(DatapathEnergyModel()))
 
-Operands may be arrays or plain scalars; scalars are broadcast (and let the
-LUT backend use its constant-operand tables for DCT coefficients, FFT
-twiddles, HEVC filter taps and K-means centroids).  Operation counts always
-equal the broadcast element count, matching what the seed kernels recorded.
-
-Stage-fused kernels additionally pass ``bank=True`` when the second operand
-is a *coefficient bank* — a small set of constants broadcast over the data
-(one FFT stage's twiddles, a DCT pass's cosine rows, all taps of an HEVC
-phase, every K-means centroid) — which lets the LUT backend group the call
-by unique constant and serve each group from its per-constant tables.  The
-hint never changes results or counts; the direct backend evaluates the same
-signature bit-exactly.
+Operands may be arrays or plain scalars; scalars are broadcast.  Operation
+counts always equal the broadcast element count, matching what the seed
+kernels recorded.
 
 **Kernel contract:** every operand handed to :meth:`add` / :meth:`sub` /
-:meth:`mul` must live on the context's ``data_width`` grid (route
-intermediate values through :meth:`wrap`, as all application kernels do).
-The context forwards that guarantee to the backend (``in_range=True``
-whenever the operator's input width matches the datapath), which skips its
-operand range scans on the hot path; a call whose operands may leave the
-grid — the HEVC filter's second separable pass, whose first-pass
-intermediates can exceed the pixel range — withdraws the guarantee with
-``in_range=False``.  A wrong claim never corrupts the shared tables (writes
-are guarded and overshooting reads fail closed onto the functional model),
-but the violating call itself may receive values for aliased operands —
-pass ``in_range=False`` whenever the grid invariant is not certain.
+:meth:`mul` should live on the context's ``data_width`` grid: route
+intermediate values through :meth:`wrap`, as all application kernels do, so
+the approximate operators see the two's-complement words the hardware
+datapath would carry.  The closed forms also accept off-grid operands (the
+oracle suite checks them far outside the grid), so an off-grid call still
+returns the operator model's answer; it just no longer models the sized
+datapath.
 """
 from __future__ import annotations
 
@@ -100,8 +87,8 @@ class ApproxContext:
     data_width:
         Word length of the datapath (16 bits in every paper experiment).
     backend:
-        Execution backend — an instance, a registry spec such as ``"lut"``,
-        or ``None`` for the bit-exact ``"direct"`` reference.
+        Execution backend — an instance, a registry spec, or ``None`` for
+        the bit-exact ``"direct"`` reference.
     counter:
         Operation counter to charge; a fresh one is created when omitted.
         Sharing one counter across kernels accumulates a whole pipeline's
@@ -130,36 +117,17 @@ class ApproxContext:
         self.counter = counter if counter is not None else OperationCounter()
         self._wrap_mask = np.int64((1 << self.data_width) - 1)
         self._wrap_sign = np.int64(1 << (self.data_width - 1))
-        # The kernel contract keeps operands on the data_width grid, so the
-        # backend may skip range scans whenever the operator consumes that
-        # exact width (see the module docstring).
-        self._adder_in_range = self.adder.input_width == self.data_width
-        self._multiplier_in_range = \
-            self.multiplier.input_width == self.data_width
 
     # ------------------------------------------------------------------ #
     # Instrumented arithmetic
     # ------------------------------------------------------------------ #
-    def add(self, a: ArrayLike, b: ArrayLike, bank: bool = False,
-            in_range: Optional[bool] = None) -> np.ndarray:
-        """Aligned sum through the adder model; charges one add per element.
-
-        ``bank=True`` flags ``b`` as a coefficient bank (a small constant
-        set broadcast over ``a``); results and counts are unaffected.
-        ``in_range=False`` withdraws the kernel-contract guarantee for this
-        call (a kernel whose operands may leave the datapath grid, like the
-        HEVC filter's second separable pass, must pass it).
-        """
+    def add(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        """Aligned sum through the adder model; charges one add per element."""
         self.counter.count_additions(_broadcast_count(a, b))
-        return np.asarray(
-            self.backend.execute(
-                self.adder, a, b, bank=bank,
-                in_range=self._adder_in_range if in_range is None
-                else bool(in_range)),
-            dtype=np.int64)
+        return np.asarray(self.backend.execute(self.adder, a, b),
+                          dtype=np.int64)
 
-    def sub(self, a: ArrayLike, b: ArrayLike, bank: bool = False,
-            in_range: Optional[bool] = None) -> np.ndarray:
+    def sub(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         """Aligned difference: ``b`` is two's-complement negated, then added.
 
         Charged as one addition per element, exactly as the seed kernels
@@ -171,24 +139,13 @@ class ApproxContext:
             negated = np.asarray(
                 wrap_to_width(-np.asarray(b, dtype=np.int64), self.data_width),
                 dtype=np.int64)
-        return self.add(a, negated, bank=bank, in_range=in_range)
+        return self.add(a, negated)
 
-    def mul(self, a: ArrayLike, b: ArrayLike, bank: bool = False,
-            in_range: Optional[bool] = None) -> np.ndarray:
-        """Aligned product through the multiplier model; one mul per element.
-
-        ``bank=True`` flags ``b`` as a coefficient bank (a small constant
-        set broadcast over ``a``); results and counts are unaffected.
-        ``in_range=False`` withdraws the kernel-contract guarantee for this
-        call, restoring the backend's operand scans.
-        """
+    def mul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
+        """Aligned product through the multiplier model; one mul per element."""
         self.counter.count_multiplications(_broadcast_count(a, b))
-        return np.asarray(
-            self.backend.execute(
-                self.multiplier, a, b, bank=bank,
-                in_range=self._multiplier_in_range if in_range is None
-                else bool(in_range)),
-            dtype=np.int64)
+        return np.asarray(self.backend.execute(self.multiplier, a, b),
+                          dtype=np.int64)
 
     def wrap(self, value: ArrayLike) -> np.ndarray:
         """Wrap a value onto the context's datapath word length."""
@@ -228,8 +185,7 @@ class ApproxContext:
         """Fresh context with exact operators on the same width and backend.
 
         Application kernels use this for their bit-exact reference runs
-        (e.g. the HEVC filter's reference interpolation); sharing the
-        backend keeps any LUT tables for the exact operators warm.
+        (e.g. the HEVC filter's reference interpolation).
         """
         return ApproxContext(data_width=self.data_width, backend=self.backend)
 

@@ -1,8 +1,8 @@
 """Persistent disk-backed store for characterisations and sweep records.
 
 The in-process caches (the :class:`~repro.core.datapath.DatapathEnergyModel`
-hardware cache, the LUT table cache) die with the interpreter, so every new
-session re-synthesises and re-simulates the same operator configurations.
+hardware cache) die with the interpreter, so every new session
+re-synthesises and re-simulates the same operator configurations.
 :class:`ResultStore` persists those records as one small JSON document per
 key under a directory, so repeated explorations across sessions — and across
 CI workflow steps, via ``actions/cache`` — skip the expensive work entirely.

@@ -18,7 +18,10 @@ Execution is deterministic: the stimulus seed fixes every workload input, the
 functional simulations of the sweep points are independent (and therefore
 parallelisable over a process pool), and energy accounting always happens in
 the parent process against the shared cache — so ``run(workers=4)`` yields
-results identical to ``run(workers=1)``.
+results identical to ``run(workers=1)``.  A pool that cannot start falls
+back to the serial path with a ``RuntimeWarning``.  Every sweep point
+evaluates its operators through their closed forms on the ``"direct"``
+backend unless :meth:`Study.backend` selects a registered plug-in.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ from ..operators.adders import ExactAdder
 from ..operators.base import AdderOperator, MultiplierOperator, Operator
 from ..workloads.base import OperatorMap, Workload, WorkloadResult
 from ..workloads.registry import parse_workload
-from . import table_arena
 from .backends import BackendLike, backend_spec
 from .datapath import (
     DatapathEnergyBreakdown,
@@ -295,11 +297,9 @@ class Study:
     def backend(self, backend: BackendLike) -> "Study":
         """Select the execution backend of every sweep point.
 
-        ``"direct"`` (the default) evaluates each operator call through its
-        functional model; ``"lut"`` serves the hot calls from precomputed
-        truth tables (bit-identical records, substantially faster for
-        application sweeps).  Spec strings accept parameters, e.g.
-        ``"lut(max_pair_width=8)"``, and registered
+        ``"direct"`` (the default, and the only built-in backend) evaluates
+        each operator call through its closed-form model.  Spec strings of
+        registered plug-ins (with parameters, e.g. ``"name(param=1)"``) and
         :class:`~repro.core.backends.ExecutionBackend` instances also work.
         """
         self._backend = backend
@@ -353,15 +353,7 @@ class Study:
         :func:`resolve_workers`: capped at the machine's CPU count and
         overridable via the ``REPRO_WORKERS`` environment variable.
         """
-        requested = workers
         workers = resolve_workers(workers)
-        # An auto-capped worker request with the shared table arena active
-        # is a best-effort parallelism hint, not a contract: if the pool
-        # then cannot start at all, the serial path still reads the same
-        # warm shared tables, so the fallback is routine — not warning-worthy.
-        quiet_fallback = (requested is not None
-                          and workers < max(1, int(requested))
-                          and table_arena.arena_enabled())
         if self._workload is None:
             raise ValueError("no workload selected; call .workload(...) first")
         if self._pair is not None and self._axis == "design":
@@ -382,8 +374,7 @@ class Study:
         if store_offered:
             self._energy_model.store = self._store
         try:
-            return self._run_resolved(workload, config, seed, workers,
-                                      quiet_fallback)
+            return self._run_resolved(workload, config, seed, workers)
         finally:
             if store_offered:
                 self._energy_model.store = None
@@ -441,8 +432,7 @@ class Study:
         return [self._sweep_key(task) for _, task in tasks]
 
     def _run_resolved(self, workload: Workload, config: Dict[str, object],
-                      seed: int, workers: int,
-                      quiet_fallback: bool = False) -> ExperimentResult:
+                      seed: int, workers: int) -> ExperimentResult:
         """Execute the configured sweep (see :meth:`run`)."""
         points, selected, tasks = self._resolved_tasks(workload, config, seed)
 
@@ -456,8 +446,7 @@ class Study:
         build_row = self._row_builder or _default_row
         rows: Dict[int, Dict[str, object]] = {}
         store_hits = 0
-        for index, outcome, fresh in self._outcomes(tasks, workers,
-                                                    quiet_fallback):
+        for index, outcome, fresh in self._outcomes(tasks, workers):
             operator_map, adder, multiplier, design = points[index]
             if not fresh:
                 store_hits += 1
@@ -617,7 +606,7 @@ class Study:
     # ------------------------------------------------------------------ #
     def _outcomes(self, tasks: List[Tuple[int, Tuple[Workload, OperatorMap,
                                                      Dict[str, object], int]]],
-                  workers: int, quiet_fallback: bool = False):
+                  workers: int):
         """Yield ``(index, WorkloadResult, fresh)`` in completion order.
 
         ``tasks`` pairs each sweep point with its global sweep index (the
@@ -639,8 +628,7 @@ class Study:
                 keys[index] = key
             pending.append((index, task))
 
-        for index, result in self._execute_stream(pending, workers,
-                                                  quiet_fallback):
+        for index, result in self._execute_stream(pending, workers):
             if self._store is not None and index in keys:
                 payload = _result_to_record(result)
                 if payload is not None:
@@ -670,7 +658,7 @@ class Study:
     @staticmethod
     def _execute_stream(pending: List[Tuple[int, Tuple[Workload, OperatorMap,
                                                        Dict[str, object], int]]],
-                        workers: int, quiet_fallback: bool = False):
+                        workers: int):
         """Yield ``(index, WorkloadResult)`` as sweep points complete.
 
         ``workers > 1`` streams completions out of a process pool (in
@@ -708,11 +696,10 @@ class Study:
                     yield index, result
             return
         except (OSError, BrokenExecutor) as error:
-            if not quiet_fallback:
-                warnings.warn(
-                    f"process pool unavailable ({error.__class__.__name__}: "
-                    f"{error}); falling back to serial execution — results "
-                    f"are identical, only slower", RuntimeWarning)
+            warnings.warn(
+                f"process pool unavailable ({error.__class__.__name__}: "
+                f"{error}); falling back to serial execution — results "
+                f"are identical, only slower", RuntimeWarning)
         for index, task in pending:
             if index not in done:
                 yield index, _execute_point(task)

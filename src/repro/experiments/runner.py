@@ -326,8 +326,8 @@ def run_all(output_dir: Optional[Union[str, Path]] = None, reduced: bool = True,
     ``workers`` fans each sweep's functional simulations out over a process
     pool (capped at the CPU count, ``REPRO_WORKERS`` overrides); results are
     identical to the serial run.  ``backend`` selects the execution backend
-    of every application-level sweep (``"direct"`` or ``"lut"``); records
-    are bit-identical across backends.  ``store`` (a
+    of every application-level sweep (``"direct"`` by default, or a
+    registered plug-in); records are bit-identical across backends.  ``store`` (a
     :class:`~repro.core.store.ResultStore` or directory path) checkpoints
     every completed sweep point, so a killed run resumes where it stopped.
 

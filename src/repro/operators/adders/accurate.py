@@ -26,10 +26,6 @@ from ..base import AdderOperator
 class ExactAdder(AdderOperator):
     """Accurate ``N``-bit adder (modular two's-complement sum)."""
 
-    #: The result is the wrapped accurate sum — a pure function of ``a + b``
-    #: — so LUT backends may evaluate it through a sum-indexed table.
-    sum_addressable = True
-
     def __init__(self, input_width: int = 16) -> None:
         super().__init__(input_width)
 
@@ -75,9 +71,6 @@ class QuantizedOutputAdder(AdderOperator):
     rounding_mode: RoundingMode = RoundingMode.TRUNCATE
     #: Short mnemonic used in the operator name.
     mnemonic: str = "ADDt"
-    #: Quantising the wrapped accurate sum is a pure function of ``a + b``,
-    #: so LUT backends may evaluate these adders via a sum-indexed table.
-    sum_addressable = True
 
     def __init__(self, input_width: int = 16, output_width: int = 16) -> None:
         super().__init__(input_width)

@@ -52,15 +52,6 @@ class Operator(ABC):
     #: Operator family, either ``"adder"`` or ``"multiplier"``.
     family: str = "generic"
 
-    #: True when ``compute(a, b)`` depends on the operands only through their
-    #: exact integer sum ``a + b``.  Execution backends may then evaluate the
-    #: operator through a one-dimensional table indexed by the sum (see
-    #: :class:`repro.core.backends.LutBackend`); the data-sized adders qualify
-    #: because they quantise the wrapped accurate sum, while functionally
-    #: approximate adders (ACA, ETAII, ...) inspect individual operand bits
-    #: and do not.
-    sum_addressable: bool = False
-
     # ------------------------------------------------------------------ #
     # Interface
     # ------------------------------------------------------------------ #

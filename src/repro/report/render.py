@@ -221,41 +221,31 @@ def _tiles(entries: Sequence[Tuple[str, object]]) -> str:
 def _perf_section(perf: Optional[Dict[str, object]]) -> str:
     if not perf or not isinstance(perf.get("studies"), dict):
         return "<p class='legend'>no committed perf history</p>"
-    header = ("<tr><th>study</th><th>direct s</th><th>fused s</th>"
-              "<th>lut cold s</th><th>lut warm s</th><th>compiled warm s</th>"
-              "<th>cold ×</th><th>warm ×</th><th>fusion ×</th>"
-              "<th>compiled÷lut ×</th><th>identical</th></tr>")
+    header = ("<tr><th>study</th><th>seed-style s</th><th>fused s</th>"
+              "<th>fusion ×</th><th>identical</th></tr>")
     rows = []
     for name, study in sorted(perf["studies"].items()):
         rows.append(
             "<tr>" + "".join(
                 f"<td>{_fmt(value)}</td>" for value in (
                     name, study.get("direct_s"),
-                    study.get("direct_fused_s"), study.get("lut_cold_s"),
-                    study.get("lut_warm_s"), study.get("compiled_warm_s"),
-                    study.get("speedup_cold"),
-                    study.get("speedup_warm"), study.get("fusion_speedup"),
-                    study.get("compiled_vs_lut"),
+                    study.get("direct_fused_s"),
+                    study.get("fusion_speedup"),
                     study.get("identical_records"))) + "</tr>")
     version = _fmt(perf.get("repro_version", "?"))
     parts = [f"<p class='legend'>from {_fmt(perf.get('path', '?'))} "
              f"(repro {version})</p>"
              f"<table><thead>{header}</thead>"
              f"<tbody>{''.join(rows)}</tbody></table>"]
-    jpeg = perf["studies"].get("jpeg16")
-    tables = perf.get("tables")
-    tile_entries = []
-    if isinstance(jpeg, dict) and jpeg.get("kernel_speedup") is not None:
-        tile_entries.append(("jpeg16 multiplier kernels, compiled ÷ lut",
-                             jpeg.get("kernel_speedup")))
-    if isinstance(tables, dict):
-        tile_entries.extend([
-            ("table arena attach ÷ cold build", tables.get("attach_speedup")),
-            ("cold table build (s)", tables.get("cold_build_s")),
-            ("arena attach (s)", tables.get("attach_s")),
-        ])
-    if tile_entries:
-        parts.append(_tiles(tile_entries))
+    search = perf.get("search")
+    if isinstance(search, dict):
+        parts.append(_tiles([
+            ("search ÷ exhaustive evaluation advantage",
+             search.get("eval_advantage")),
+            ("search recall", search.get("recall")),
+            ("search (s)", search.get("search_s")),
+            ("exhaustive sweep (s)", search.get("exhaustive_s")),
+        ]))
     return "".join(parts)
 
 
@@ -345,7 +335,7 @@ def render_dashboard(model: Dict[str, object]) -> str:
             ("worker errors", resilience.get("worker_errors", 0)),
             ("absorb conflicts", resilience.get("conflicts", 0)),
             ("quarantined records", resilience.get("quarantined", 0))]))
-    parts.append("<h2>Backend performance trajectory</h2>")
+    parts.append("<h2>Performance trajectory</h2>")
     parts.append(_perf_section(model["bench"].get("perf")))
     parts.append("<h2>Evaluation-server trajectory</h2>")
     parts.append(_serve_section(model["bench"].get("serve")))

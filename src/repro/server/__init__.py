@@ -1,12 +1,12 @@
 """Approximation-as-a-service: the long-lived evaluation server.
 
-Every one-shot ``python -m repro`` invocation pays the cold costs — LUT
-table construction, hardware characterisation, workload stimulus — and then
-throws the warm process away.  This package keeps the process alive: a
-JSON-over-HTTP service (stdlib only) holding the warm process-wide LUT
-cache, the shared hardware-characterisation cache and an open
-:class:`~repro.core.store.ResultStore`, answering design-space queries from
-concurrent clients with request batching.
+Every one-shot ``python -m repro`` invocation pays the cold costs —
+interpreter start-up, hardware characterisation, workload stimulus — and
+then throws the warm process away.  This package keeps the process alive: a
+JSON-over-HTTP service (stdlib only) holding the shared hardware-
+characterisation cache and an open :class:`~repro.core.store.ResultStore`,
+answering design-space queries from concurrent clients with request
+batching.
 
 Layers:
 

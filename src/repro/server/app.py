@@ -11,9 +11,8 @@ protocol:
   composing a request body.
 
 Request threads share one :class:`~repro.server.dispatch.ServerState` —
-the open result store, the warm process-wide LUT table cache, the hardware
-characterisation cache and the batching queue — which is the entire point
-of keeping the process alive.
+the open result store, the hardware characterisation cache and the
+batching queue — which is the entire point of keeping the process alive.
 
 ``python -m repro serve`` wraps :func:`EvalServer.serve_forever`; tests and
 benchmarks use :meth:`EvalServer.start` / :meth:`EvalServer.stop` (or the
@@ -126,8 +125,8 @@ class EvalServer:
     ``port=0`` binds an ephemeral port (read it back from :attr:`port`),
     which is how the in-process tests and the load bench run.  State
     parameters (``store``, ``backend``, ``workers``, ``batch_window_s``,
-    ``table_cache_limit``, ``deadline_s``) construct a fresh
-    :class:`~repro.server.dispatch.ServerState` unless one is passed in.
+    ``deadline_s``) construct a fresh :class:`~repro.server.dispatch.ServerState`
+    unless one is passed in.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,

@@ -3,10 +3,9 @@
 Concurrent ``evaluate`` requests that share a *group key* — same workload,
 configuration, seed, backend and axis, differing only in the operator under
 test — are exactly one operator sweep split across clients.  Executing them
-one by one would regenerate the workload stimulus per request and issue the
-banked backend calls once per operator; executing them as one
-:class:`~repro.core.study.Study` sweep shares the stimulus pipeline, the
-warm LUT tables and the hardware-characterisation cache in a single pass.
+one by one would regenerate the workload stimulus per request; executing
+them as one :class:`~repro.core.study.Study` sweep shares the stimulus
+pipeline and the hardware-characterisation cache in a single pass.
 
 :class:`BatchQueue` implements the classic leader/follower pattern: the
 first thread to open a group becomes the batch leader, waits a short

@@ -23,8 +23,9 @@ Actions:
     The experiment registry plus the known workloads, operators and
     backends.
 ``status``
-    Uptime, per-action request counters, in-flight requests, store /
-    LUT-table / characterisation cache statistics and batching counters.
+    Uptime, per-action request counters, in-flight requests, store and
+    characterisation cache statistics and batching counters (plus an
+    all-zero ``table_cache`` section the repository benchmark reads).
 """
 from __future__ import annotations
 
@@ -38,7 +39,6 @@ from ..core.backends import (
     cache_stats,
     describe_backends,
     registered_backends,
-    set_table_cache_limit,
 )
 from ..core.datapath import DatapathEnergyModel
 from ..core.designspace import (
@@ -92,14 +92,11 @@ class ServerState:
 
     One open :class:`~repro.core.store.ResultStore`, one energy model (and
     therefore one hardware-characterisation cache), one batching queue, and
-    the request/error counters the ``status`` action reports.  The
-    process-wide LUT table cache is shared implicitly; its LRU cap is
-    applied here so a long-lived server cannot grow it without bound.
+    the request/error counters the ``status`` action reports.
     """
 
-    def __init__(self, store: StoreLike = None, backend: str = "lut",
+    def __init__(self, store: StoreLike = None, backend: str = "direct",
                  workers: int = 4, batch_window_s: float = 0.02,
-                 table_cache_limit: Optional[int] = None,
                  deadline_s: Optional[float] = None) -> None:
         if workers < 1:
             raise ValueError("the server needs at least one worker slot")
@@ -111,7 +108,6 @@ class ServerState:
         self.deadline_s = deadline_s
         self.energy_model = _SharedEnergyModel(store=self.store)
         self.batcher = BatchQueue(window_s=batch_window_s)
-        self.table_cache_limit = set_table_cache_limit(table_cache_limit)
         self.started_monotonic = time.monotonic()
         self._slots = threading.BoundedSemaphore(self.workers)
         self._lock = threading.Lock()

@@ -42,7 +42,7 @@ class OperatorMap:
     slots the application kernels consume (``None`` means the workload's own
     exact default, matching the paper's setup where only one operator family
     is swapped at a time).  ``backend`` selects how the kernels evaluate
-    operator calls — a registry spec such as ``"lut"`` or an
+    operator calls — a registry spec such as ``"direct"`` or an
     :class:`~repro.core.backends.ExecutionBackend` instance; results are
     required to be bit-identical across backends.
     """

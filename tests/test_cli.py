@@ -142,23 +142,6 @@ def test_merge_of_nothing_fails(capsys, tmp_path):
 
 
 # --------------------------------------------------------------------------- #
-# bench
-# --------------------------------------------------------------------------- #
-def test_bench_times_backends_and_checks_identity(capsys, tmp_path):
-    output = tmp_path / "bench.json"
-    status, document, _ = run_cli(
-        capsys, "bench", "--experiment", "table3_hevc_adders",
-        "--backends", "direct", "lut", "--output", str(output))
-    assert status == 0
-    assert document["identical_records"] is True
-    assert set(document["backends"]) == {"direct", "lut"}
-    for record in document["backends"].values():
-        assert record["seconds"] >= 0
-        assert record["rows"] > 0
-    assert json.loads(output.read_text()) == document
-
-
-# --------------------------------------------------------------------------- #
 # search
 # --------------------------------------------------------------------------- #
 def test_search_json_contract_and_store_replay(capsys, tmp_path):
@@ -267,8 +250,8 @@ def test_help_text_lists_subcommands(capsys):
     with pytest.raises(SystemExit):
         main(["--help"])
     out = capsys.readouterr().out
-    for subcommand in ("run", "merge", "list", "bench", "serve", "query",
-                       "fleet", "report"):
+    for subcommand in ("run", "merge", "list", "search", "serve", "query",
+                       "fleet", "report", "store"):
         assert subcommand in out
 
 

@@ -3,21 +3,19 @@
 The contract of the fusion refactor: every application kernel run with
 ``fused=True`` (the default) must produce records *bit-identical* to the
 seed-style per-constant loops (``fused=False``), with exactly the same
-operation counts, on the ``"direct"``, ``"lut"`` and ``"compiled"``
-backends.
+operation counts, on the ``"direct"`` backend.
 """
 import numpy as np
 import pytest
 
-from repro.core import ApproxContext, clear_table_cache
+from repro.core import ApproxContext
 from repro.apps.dct import FixedPointDCT
 from repro.apps.fft import FixedPointFFT, random_q15_signal
 from repro.apps.hevc_mc import MotionCompensationFilter
 from repro.apps.kmeans import FixedPointKMeans
 
-#: Operator pairings covering the interesting backend paths: the exact
-#: baseline, a sum-addressable data-sized adder, and functionally
-#: approximate operators (no sum table, value tables / functional fallback).
+#: Operator pairings: the exact baseline, a data-sized adder, and
+#: functionally approximate adders and multipliers.
 OPERATOR_PAIRINGS = [
     (None, None),
     ("ADDt(16,10)", None),
@@ -25,7 +23,7 @@ OPERATOR_PAIRINGS = [
     ("ETAIV(16,4)", "ABM(16)"),
 ]
 
-BACKENDS = ["direct", "lut", "compiled"]
+BACKENDS = ["direct"]
 
 
 def make_context(backend, adder, multiplier):
@@ -36,7 +34,6 @@ def make_context(backend, adder, multiplier):
 @pytest.mark.parametrize("adder,multiplier", OPERATOR_PAIRINGS)
 class TestFusedEqualsSeedStyle(object):
     def test_fft(self, backend, adder, multiplier):
-        clear_table_cache()
         signal = random_q15_signal(64, seed=11)
         fused_ctx = make_context(backend, adder, multiplier)
         seed_ctx = make_context(backend, adder, multiplier)
@@ -48,7 +45,6 @@ class TestFusedEqualsSeedStyle(object):
         assert fused_ctx.counts == seed_ctx.counts
 
     def test_dct(self, backend, adder, multiplier):
-        clear_table_cache()
         rng = np.random.default_rng(4)
         blocks = rng.integers(-128, 128, size=(6, 8, 8), dtype=np.int64)
         fused_ctx = make_context(backend, adder, multiplier)
@@ -59,7 +55,6 @@ class TestFusedEqualsSeedStyle(object):
         assert fused_ctx.counts == seed_ctx.counts
 
     def test_hevc(self, backend, adder, multiplier, small_image):
-        clear_table_cache()
         fused_ctx = make_context(backend, adder, multiplier)
         seed_ctx = make_context(backend, adder, multiplier)
         fused = MotionCompensationFilter(context=fused_ctx, fused=True) \
@@ -70,7 +65,6 @@ class TestFusedEqualsSeedStyle(object):
         assert fused.counts == seed.counts
 
     def test_kmeans(self, backend, adder, multiplier, point_cloud):
-        clear_table_cache()
         fused_ctx = make_context(backend, adder, multiplier)
         seed_ctx = make_context(backend, adder, multiplier)
         fused = FixedPointKMeans(clusters=6, context=fused_ctx, iterations=3,
@@ -90,7 +84,7 @@ class TestFusedCountFormulas(object):
     """Fused execution still charges the analytic operation inventories."""
 
     def test_fft_counts_match_radix2_formula(self):
-        context = ApproxContext(adder="ADDt(16,10)", backend="lut")
+        context = ApproxContext(adder="ADDt(16,10)")
         fft = FixedPointFFT(128, context=context, fused=True)
         result = fft.forward(random_q15_signal(128, seed=2))
         assert result.counts == fft.operation_counts()
@@ -121,7 +115,6 @@ class TestStudyLevelFusion(object):
     def _rows(self, workload, axis, operators, backend, fused):
         from repro.core import Study
 
-        clear_table_cache()
         study = Study().workload(workload).seed(5).backend(backend)
         getattr(study, axis)(operators)
         if not fused:

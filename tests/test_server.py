@@ -203,7 +203,7 @@ class TestDispatch:
                             dict(WORKLOAD, adder="ACA(16,8)", energy=False))
         assert envelope["status"] == "ok"
         direct = (Study().workload("fft", size=16, frames=2)
-                  .adders(["ACA(16,8)"]).seed(0).backend("lut").run())
+                  .adders(["ACA(16,8)"]).seed(0).run())
         assert envelope["result"]["row"] == wire(direct.rows[0])
         assert envelope["result"]["cached"] is False
 
@@ -250,7 +250,7 @@ class TestDispatch:
         names = [entry["name"] for entry in result["experiments"]]
         assert "fft_joint_frontier" in names
         assert "fft" in result["workloads"]
-        assert "lut" in result["backends"]
+        assert result["backends"] == ["direct"]
         assert "aca" in result["operators"]
         details = result["operator_details"]
         assert set(details) == set(result["operators"])
@@ -273,7 +273,7 @@ class TestDispatch:
         assert result["requests"]["frobnicate"] == 1
         assert result["errors"][ERROR_UNKNOWN_ACTION] == 1
         assert result["in_flight"] == 1  # the status request itself
-        assert result["table_cache"]["limit"] >= 1
+        assert result["table_cache"]["arena"]["attaches"] == 0
         assert result["batching"]["requests"] == 1
         assert result["store"] is None
         assert result["hardware_cache"]["reports"] >= 1
@@ -338,7 +338,7 @@ class TestEvalServer:
         operators = ["ADD(16)", "ACA(16,8)", "ACA(16,4)", "ETAII(16,4)",
                      "ETAIV(16,4)", "ADDt(16,12)"]
         direct = (Study().workload("fft", size=16, frames=2)
-                  .adders(operators).seed(0).backend("lut").run())
+                  .adders(operators).seed(0).run())
         expected = {operator: wire(row)
                     for operator, row in zip(operators, direct.rows)}
 

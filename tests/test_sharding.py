@@ -224,9 +224,7 @@ def test_resolve_workers_env_override(monkeypatch):
 # Serial-fallback warning discipline
 # --------------------------------------------------------------------------- #
 class TestSerialFallbackWarning(object):
-    """Pool failure warns — unless the request was auto-capped and the
-    shared table arena is active, where the serial path reads the same
-    warm tables and the fallback is routine."""
+    """Pool failure warns, whether or not the request was auto-capped."""
 
     def _study(self):
         return (Study().workload("fft", size=16, frames=1)
@@ -245,18 +243,13 @@ class TestSerialFallbackWarning(object):
     def test_pool_failure_warns_by_default(self, monkeypatch):
         self._break_pool(monkeypatch)
         monkeypatch.setattr(os, "cpu_count", lambda: 4)  # request not capped
-        monkeypatch.setenv("REPRO_TABLE_ARENA", "0")
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = self._study().run(workers=2)
         assert len(result.rows) == 2
 
-    def test_auto_capped_request_with_arena_is_quiet(self, monkeypatch):
-        import warnings
-
+    def test_auto_capped_request_fallback_warns(self, monkeypatch):
         self._break_pool(monkeypatch)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        monkeypatch.delenv("REPRO_TABLE_ARENA", raising=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # 64 capped to 2
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = self._study().run(workers=64)
         assert len(result.rows) == 2
