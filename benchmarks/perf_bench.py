@@ -1,23 +1,5 @@
 #!/usr/bin/env python3
-"""Wall-clock benchmark of kernel fusion and adaptive search, emitting
-``BENCH_perf.json``.
-
-Three representative 16-bit studies run on the ``"direct"`` backend:
-
-* ``jpeg16`` — the JPEG multiplier comparison (data-sized ``MULt`` against
-  the approximate AAM / ABM / Booth multipliers) over a 10-frame synthetic
-  sequence; bound by the multiplier models themselves.
-* ``fft16`` — the FFT-1024 data-sized adder sweep, where the stage-fused
-  kernel turns the O(N log N) per-twiddle Python calls into ten batched
-  calls per stage.
-* ``fft2048_fused`` — a larger stage-fused FFT study (FFT-2048), showing
-  the fusion at scale.
-
-Each study is timed twice: with the **seed-style per-constant loops**
-(``fused=False``, ``direct_s``) and with the stage-fused kernels
-(``direct_fused_s``); ``fusion_speedup`` is the first over the second.  The
-emitted records are asserted bit-identical across both runs before any
-number is written.
+"""Wall-clock benchmark of adaptive search, emitting ``BENCH_perf.json``.
 
 The ``search`` section (``search_vs_sweep``) runs the seeded
 successive-halving driver on the CI-gated ``fft_joint`` target at full
@@ -33,9 +15,7 @@ Run with::
 
 ``--check`` reads the *recorded* floors from the baseline JSON
 (``--baseline``, defaulting to the output path before it is overwritten)
-and exits non-zero on any regression: ``fusion_floor`` gates each study's
-``fusion_speedup`` (see the ``STUDIES`` table for the floor that documents
-a tolerance rather than a required win), ``advantage_floor`` and
+and exits non-zero on any regression: ``advantage_floor`` and
 ``recall_floor`` gate the search section.  This is the regression gate the
 CI workflow runs on every push.
 """
@@ -48,85 +28,9 @@ import sys
 import time
 from pathlib import Path
 
-from repro import Study, __version__
-
-#: The benchmarked studies: name -> (workload spec, sweep axis, operator
-#: specs, the ``fusion_speedup`` floor enforced by ``--check``).
-#:
-#: The FFT studies are dispatch-bound, so fusion must stay a multiple; the
-#: jpeg16 study is bound by the multiplier models themselves, so fusion can
-#: only reach parity there (0.86-1.13x measured) — its floor documents the
-#: accepted tolerance band around 1.0x rather than a required win.
-STUDIES = {
-    "jpeg16": {
-        "workload": "jpeg(size=192, quality=90, frames=10)",
-        "axis": "multipliers",
-        "operators": ["MULt(16,16)", "AAM(16)", "ABM(16)", "BOOTH(16)"],
-        "description": "16-bit JPEG study: DCT multiplier comparison over a "
-                       "10-frame synthetic sequence",
-        "fusion_floor": 0.75,
-    },
-    "fft16": {
-        "workload": "fft(1024, frames=2)",
-        "axis": "adders",
-        "operators": ["ADDt(16,14)", "ADDt(16,12)", "ADDt(16,10)",
-                      "ADDt(16,8)", "ADDr(16,12)", "ADDr(16,10)"],
-        "description": "16-bit FFT-1024 study: data-sized adder sweep, "
-                       "stage-fused",
-        "fusion_floor": 3.0,
-    },
-    "fft2048_fused": {
-        "workload": "fft(2048, frames=2)",
-        "axis": "adders",
-        "operators": ["ADDt(16,12)", "ADDt(16,10)", "ADDr(16,10)"],
-        "description": "16-bit FFT-2048 study: stage-fused adder sweep at "
-                       "scale",
-        "fusion_floor": 3.0,
-    },
-}
+from repro import __version__
 
 SEED = 7
-
-
-def build_study(spec: dict, fused: bool = True) -> Study:
-    study = Study().workload(spec["workload"]).seed(SEED)
-    getattr(study, spec["axis"])(spec["operators"])
-    if not fused:
-        study.config(fused=False)
-    return study
-
-
-def time_study(spec: dict, fused: bool = True):
-    """Run one study once; returns (wall seconds, result rows)."""
-    start = time.perf_counter()
-    result = build_study(spec, fused=fused).run()
-    return time.perf_counter() - start, result.rows
-
-
-def bench_study(name: str, spec: dict) -> dict:
-    direct_s, direct_rows = time_study(spec, fused=False)
-    direct_fused_s, fused_rows = time_study(spec)
-    identical = direct_rows == fused_rows
-    if not identical:
-        raise AssertionError(
-            f"{name}: stage-fused records differ from the seed-style "
-            f"reference")
-    record = {
-        "description": spec["description"],
-        "workload": spec["workload"],
-        "sweep": list(spec["operators"]),
-        "seed": SEED,
-        "direct_s": round(direct_s, 4),
-        "direct_fused_s": round(direct_fused_s, 4),
-        "fusion_speedup": round(direct_s / direct_fused_s, 2),
-        "fusion_floor": spec["fusion_floor"],
-        "identical_records": identical,
-    }
-    print(f"{name}: seed-style {direct_s:6.2f}s | fused "
-          f"{direct_fused_s:6.2f}s ({record['fusion_speedup']:.2f}x) | "
-          f"records identical")
-    return record
-
 
 #: ``eval_advantage`` floor of the ``search_vs_sweep`` study: the CI gate
 #: requires the search to spend at most 35% of the exhaustive cost, i.e.
@@ -190,30 +94,18 @@ def bench_search() -> dict:
 
 
 def load_floors(path: Path) -> dict:
-    """Recorded per-study speedup floors from an earlier BENCH_perf.json.
+    """Recorded search floors from an earlier BENCH_perf.json.
 
-    Returns ``{study: {metric: floor}}`` where ``metric`` is the measured
-    field the floor gates (``fusion_speedup`` for ``fusion_floor``,
-    ``eval_advantage`` / ``recall`` for the search section's floors).
+    Returns ``{metric: floor}`` where ``metric`` is the measured field of
+    the search section the floor gates (``eval_advantage`` for
+    ``advantage_floor``, ``recall`` for ``recall_floor``).
     """
     if not path.exists():
         return {}
-    payload = json.loads(path.read_text())
-    recorded = dict(payload.get("studies", {}))
-    if "search" in payload:
-        recorded["search"] = payload["search"]
-    floors = {}
-    for name, study in recorded.items():
-        gates = {}
-        if "fusion_floor" in study:
-            gates["fusion_speedup"] = study["fusion_floor"]
-        if "advantage_floor" in study:
-            gates["eval_advantage"] = study["advantage_floor"]
-        if "recall_floor" in study:
-            gates["recall"] = study["recall_floor"]
-        if gates:
-            floors[name] = gates
-    return floors
+    search = json.loads(path.read_text()).get("search", {})
+    return {metric: search[floor] for metric, floor in
+            (("eval_advantage", "advantage_floor"),
+             ("recall", "recall_floor")) if floor in search}
 
 
 def main(argv=None) -> int:
@@ -221,8 +113,8 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default="BENCH_perf.json",
                         help="path of the emitted JSON (default: %(default)s)")
     parser.add_argument("--check", action="store_true",
-                        help="fail when a measured speedup falls below the "
-                             "floor recorded in the baseline JSON")
+                        help="fail when a measured search metric falls below "
+                             "the floor recorded in the baseline JSON")
     parser.add_argument("--baseline", default=None,
                         help="baseline JSON holding the floors for --check "
                              "(default: the --output path, read before "
@@ -237,10 +129,8 @@ def main(argv=None) -> int:
         "repro_version": __version__,
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "studies": {name: bench_study(name, spec)
-                    for name, spec in STUDIES.items()},
+        "search": bench_search(),
     }
-    payload["search"] = bench_search()
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.output}")
 
@@ -252,22 +142,13 @@ def main(argv=None) -> int:
                   f"{args.baseline or args.output}; the regression gate "
                   f"has nothing to enforce", file=sys.stderr)
             failed = True
-        measured_sections = dict(payload["studies"], search=payload["search"])
-        for name, gates in floors.items():
-            study = measured_sections.get(name)
-            if study is None:
-                print(f"FAIL: baseline floor for {name!r} matches no "
-                      f"measured study (renamed or removed?)",
+        for metric, floor in floors.items():
+            measured = payload["search"][metric]
+            if measured < floor:
+                print(f"FAIL: search {metric} {measured:.2f}x regressed "
+                      f"below the recorded floor {floor:.2f}x",
                       file=sys.stderr)
                 failed = True
-                continue
-            for metric, floor in gates.items():
-                measured = study[metric]
-                if measured < floor:
-                    print(f"FAIL: {name} {metric} {measured:.2f}x regressed "
-                          f"below the recorded floor {floor:.2f}x",
-                          file=sys.stderr)
-                    failed = True
     return 1 if failed else 0
 
 

@@ -7,12 +7,9 @@ caller.  This is the kernel whose operators the paper swaps in the JPEG
 experiment (Figure 6).
 
 Blocks are processed in batches: the transform accepts a ``(blocks, 8, 8)``
-array and — by default — executes each matrix pass *stage-fused*: every
-coefficient multiplication of the pass runs in one batched context call with
-the cosine matrix broadcast over the blocks, and the accumulations follow as
-one batched adder call per accumulation step.
-``fused=False`` replays the seed-style loop (one scalar-coefficient call per
-matrix entry); results and operation counts are bit-identical either way.
+array and executes each matrix pass *stage-fused*: every dot-product step of
+the pass runs as one batched multiplier call with the cosine column broadcast
+over the blocks, followed by one batched adder call for the accumulation.
 """
 from __future__ import annotations
 
@@ -59,7 +56,6 @@ class FixedPointDCT:
     def __init__(self, data_width: int = 16,
                  context: Optional[ApproxContext] = None,
                  block_size: int = BLOCK_SIZE,
-                 fused: bool = True,
                  pass_contexts: Optional[Sequence[ApproxContext]] = None
                  ) -> None:
         if context is None:
@@ -69,7 +65,6 @@ class FixedPointDCT:
                 f"context word length ({context.data_width} bits) does not "
                 f"match the requested datapath ({data_width} bits)")
         self.block_size = block_size
-        self.fused = bool(fused)
         self.context = context
         # Heterogeneous datapath: one context per matrix pass (rows, then
         # columns) of the 2-D transform, for per-pass operator assignment.
@@ -118,33 +113,21 @@ class FixedPointDCT:
         if ctx is None:
             ctx = self.context
         blocks, n, columns = data.shape
-        if self.fused:
-            # Stage-fused: one batched call per dot-product step — data row k
-            # against coefficient column k (every output row at once) —
-            # followed by one batched accumulation.  Each output row r
-            # accumulates term k = 0..n-1 in the same order as the seed
-            # loop, so results are bit-identical.  Working one step at a
-            # time keeps the products / terms / accumulator working set
-            # cache-resident; the earlier all-steps-in-one-call shape
-            # materialised an n-times-larger products array whose wrap and
-            # accumulation passes streamed from main memory.
-            accumulator = np.zeros((blocks, n, columns), dtype=np.int64)
-            for k in range(n):
-                operands = data[:, np.newaxis, k, :]
-                bank = coeffs[np.newaxis, :, k, np.newaxis]
-                products = ctx.mul(operands, bank)
-                term = ctx.wrap(products >> self.coeff_frac_bits)
-                accumulator = ctx.add(accumulator, term)
-            return accumulator
-        result = np.zeros_like(data)
-        for r in range(n):
-            accumulator = np.zeros((blocks, columns), dtype=np.int64)
-            for k in range(n):
-                product = ctx.mul(data[:, k, :], int(coeffs[r, k]))
-                term = ctx.wrap(product >> self.coeff_frac_bits)
-                accumulator = ctx.add(accumulator, term)
-            result[:, r, :] = accumulator
-        return result
+        # One batched call per dot-product step — data row k against
+        # coefficient column k (every output row at once) — followed by one
+        # batched accumulation, so each output row accumulates its terms in
+        # k order.  Working one step at a time keeps the products / terms /
+        # accumulator working set cache-resident; an all-steps-in-one-call
+        # shape materialises an n-times-larger products array whose wrap
+        # and accumulation passes stream from main memory.
+        accumulator = np.zeros((blocks, n, columns), dtype=np.int64)
+        for k in range(n):
+            operands = data[:, np.newaxis, k, :]
+            bank = coeffs[np.newaxis, :, k, np.newaxis]
+            products = ctx.mul(operands, bank)
+            term = ctx.wrap(products >> self.coeff_frac_bits)
+            accumulator = ctx.add(accumulator, term)
+        return accumulator
 
     # ------------------------------------------------------------------ #
     # Transforms

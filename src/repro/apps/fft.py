@@ -7,12 +7,9 @@ operations along the way so the datapath energy model (Equation 1) can charge
 them.  Per-stage scaling by 1/2 keeps the butterflies overflow-free, which is
 the classical fixed-point FFT arrangement.
 
-Execution is *stage-fused* by default: each of the ``log2(size)`` stages
-issues ten batched context calls covering every butterfly at once, with the
-stage's twiddle column broadcast over the whole block.  ``fused=False``
-selects the seed-style per-twiddle loop — one round of context calls per
-twiddle offset — which is bit-identical and charges exactly the same
-operation counts, but pays O(size/2) Python dispatches per stage.
+Execution is *stage-fused*: each of the ``log2(size)`` stages issues ten
+batched context calls covering every butterfly at once, with the stage's
+twiddle column broadcast over the whole block.
 """
 from __future__ import annotations
 
@@ -53,11 +50,6 @@ class FixedPointFFT:
         The :class:`ApproxContext` executing the additions and twiddle
         multiplications.  ``None`` selects the exact fixed-point baseline
         (accurate adder, fixed-width truncated multiplier, direct backend).
-    fused:
-        ``True`` (default) executes each stage as one batched pass over all
-        butterflies with the twiddles as a coefficient bank; ``False``
-        replays the seed-style per-twiddle loop.  Results and operation
-        counts are bit-identical either way.
     stage_contexts:
         Optional per-stage contexts — one per ``log2(size)`` stage — for
         heterogeneous datapaths that assign a different operator to each
@@ -69,7 +61,6 @@ class FixedPointFFT:
 
     def __init__(self, size: int = 32, data_width: int = 16,
                  context: Optional[ApproxContext] = None,
-                 fused: bool = True,
                  stage_contexts: Optional[Sequence[ApproxContext]] = None
                  ) -> None:
         if size < 2 or size & (size - 1) != 0:
@@ -84,7 +75,6 @@ class FixedPointFFT:
         self.context = context
         self.data_width = context.data_width
         self.frac_bits = context.frac_bits
-        self.fused = bool(fused)
         self.stage_contexts: Optional[List[ApproxContext]] = None
         if stage_contexts is not None:
             stages = int(math.log2(size))
@@ -175,60 +165,33 @@ class FixedPointFFT:
             ctx = contexts[stage] if contexts is not None else self.context
             stage += 1
             step = self.size // (2 * half)
-            if self.fused:
-                # Stage-fused: every butterfly of the stage in one batched
-                # pass — rows are twiddle offsets, columns are the groups
-                # sharing that twiddle, and the twiddle column broadcasts
-                # over the whole (half, groups) block.
-                offsets = np.arange(half, dtype=np.int64)
-                starts = np.arange(0, self.size, 2 * half, dtype=np.int64)
-                tops = offsets[:, None] + starts[None, :]
-                bottoms = tops + half
-                k = offsets * step
-                w_re = tw_re[k][:, None]
-                w_im = tw_im[k][:, None]
+            # Every butterfly of the stage in one batched pass: rows are
+            # twiddle offsets, columns are the groups sharing that twiddle,
+            # and the twiddle column broadcasts over the whole
+            # (half, groups) block.
+            offsets = np.arange(half, dtype=np.int64)
+            starts = np.arange(0, self.size, 2 * half, dtype=np.int64)
+            tops = offsets[:, None] + starts[None, :]
+            bottoms = tops + half
+            k = offsets * step
+            w_re = tw_re[k][:, None]
+            w_im = tw_im[k][:, None]
 
-                # Pre-scale both branches to keep the butterfly in range.
-                a_re, a_im = self._halve(x_re[tops]), self._halve(x_im[tops])
-                b_re, b_im = self._halve(x_re[bottoms]), self._halve(x_im[bottoms])
+            # Pre-scale both branches to keep the butterfly in range.
+            a_re, a_im = self._halve(x_re[tops]), self._halve(x_im[tops])
+            b_re, b_im = self._halve(x_re[bottoms]), self._halve(x_im[bottoms])
 
-                # Complex twiddle multiplication (4 real mult, 2 real add).
-                prod_re = ctx.sub(self._mul(ctx, b_re, w_re),
-                                  self._mul(ctx, b_im, w_im))
-                prod_im = ctx.add(self._mul(ctx, b_re, w_im),
-                                  self._mul(ctx, b_im, w_re))
+            # Complex twiddle multiplication (4 real mult, 2 real add).
+            prod_re = ctx.sub(self._mul(ctx, b_re, w_re),
+                              self._mul(ctx, b_im, w_im))
+            prod_im = ctx.add(self._mul(ctx, b_re, w_im),
+                              self._mul(ctx, b_im, w_re))
 
-                # Butterfly combine (4 real additions).
-                x_re[tops] = ctx.add(a_re, prod_re)
-                x_im[tops] = ctx.add(a_im, prod_im)
-                x_re[bottoms] = ctx.sub(a_re, prod_re)
-                x_im[bottoms] = ctx.sub(a_im, prod_im)
-                half *= 2
-                continue
-            for offset in range(half):
-                # Seed-style: all butterflies sharing this twiddle, across
-                # every group, in one vectorised call into the context.
-                tops = np.arange(offset, self.size, 2 * half, dtype=np.int64)
-                bottoms = tops + half
-                k = offset * step
-                w_re = int(tw_re[k])
-                w_im = int(tw_im[k])
-
-                # Pre-scale both branches to keep the butterfly in range.
-                a_re, a_im = self._halve(x_re[tops]), self._halve(x_im[tops])
-                b_re, b_im = self._halve(x_re[bottoms]), self._halve(x_im[bottoms])
-
-                # Complex twiddle multiplication (4 real mult, 2 real add).
-                prod_re = ctx.sub(self._mul(ctx, b_re, w_re),
-                                  self._mul(ctx, b_im, w_im))
-                prod_im = ctx.add(self._mul(ctx, b_re, w_im),
-                                  self._mul(ctx, b_im, w_re))
-
-                # Butterfly combine (4 real additions).
-                x_re[tops] = ctx.add(a_re, prod_re)
-                x_im[tops] = ctx.add(a_im, prod_im)
-                x_re[bottoms] = ctx.sub(a_re, prod_re)
-                x_im[bottoms] = ctx.sub(a_im, prod_im)
+            # Butterfly combine (4 real additions).
+            x_re[tops] = ctx.add(a_re, prod_re)
+            x_im[tops] = ctx.add(a_im, prod_im)
+            x_re[bottoms] = ctx.sub(a_re, prod_re)
+            x_im[bottoms] = ctx.sub(a_im, prod_im)
             half *= 2
 
         total = OperationCounts()

@@ -9,11 +9,9 @@ and measures the MSSIM of the interpolated image against the exact filter
 output (Tables III and IV).
 
 The multiplications are by small constant coefficients, which is why the
-datapath model charges them as constant-coefficient multiplications.  By
-default every non-zero tap of a phase is evaluated in one *stage-fused*
-context call with the taps broadcast over the stacked sample windows;
-``fused=False`` replays the seed-style per-tap loop, bit-identical and with
-the same operation counts.
+datapath model charges them as constant-coefficient multiplications.  Every
+non-zero tap of a phase is evaluated in one *stage-fused* context call with
+the taps broadcast over the stacked sample windows.
 """
 from __future__ import annotations
 
@@ -59,8 +57,7 @@ class MotionCompensationFilter:
     """Separable HEVC fractional interpolation through an ApproxContext."""
 
     def __init__(self, data_width: int = 16,
-                 context: Optional[ApproxContext] = None,
-                 fused: bool = True) -> None:
+                 context: Optional[ApproxContext] = None) -> None:
         if context is None:
             context = ApproxContext(data_width=data_width)
         elif context.data_width != data_width:
@@ -69,7 +66,6 @@ class MotionCompensationFilter:
                 f"match the requested datapath ({data_width} bits)")
         self.context = context
         self.data_width = context.data_width
-        self.fused = bool(fused)
 
     @property
     def adder(self):
@@ -111,18 +107,6 @@ class MotionCompensationFilter:
         """Left-alignment of the signed 8-bit filter coefficients."""
         return max(0, self.data_width - 8)
 
-    def _mac(self, accumulator: np.ndarray, samples: np.ndarray,
-             coefficient: int) -> np.ndarray:
-        if coefficient == 0:
-            return accumulator
-        ctx = self.context
-        scaled_samples = np.asarray(samples, dtype=np.int64) << self._pixel_shift
-        product = ctx.mul(scaled_samples, int(coefficient) << self._coeff_shift)
-        # Re-align the product to plain pixel*coefficient units; the HEVC
-        # intermediate values then fit the 16-bit accumulation by design.
-        term = ctx.wrap(product >> (self._pixel_shift + self._coeff_shift))
-        return ctx.add(accumulator, term)
-
     def _filter_axis(self, image: np.ndarray, taps: Tuple[int, ...],
                      axis: int) -> np.ndarray:
         """Apply one 1-D filter along ``axis`` with edge padding."""
@@ -138,27 +122,23 @@ class MotionCompensationFilter:
             return padded[:, index:index + image.shape[1]]
 
         accumulator = np.zeros(image.shape, dtype=np.int64)
-        if self.fused:
-            # Stage-fused: every non-zero tap's product in one batched call
-            # (zero taps are skipped exactly as the seed-style loop skips
-            # them, so operation counts match), then one accumulation per
-            # tap in the same order.
-            active = [(index, coefficient) for index, coefficient
-                      in enumerate(taps) if coefficient != 0]
-            if not active:
-                return accumulator >> FILTER_SHIFT
-            ctx = self.context
-            stacked = np.stack([window(index) for index, _ in active])
-            bank = np.asarray([coefficient << self._coeff_shift
-                               for _, coefficient in active],
-                              dtype=np.int64).reshape(-1, 1, 1)
-            products = ctx.mul(stacked << self._pixel_shift, bank)
-            terms = ctx.wrap(products >> (self._pixel_shift + self._coeff_shift))
-            for tap in range(len(active)):
-                accumulator = ctx.add(accumulator, terms[tap])
+        # Every non-zero tap's product in one batched call (zero taps cost
+        # no operation), then one accumulation per tap in tap order.
+        active = [(index, coefficient) for index, coefficient
+                  in enumerate(taps) if coefficient != 0]
+        if not active:
             return accumulator >> FILTER_SHIFT
-        for index, coefficient in enumerate(taps):
-            accumulator = self._mac(accumulator, window(index), coefficient)
+        ctx = self.context
+        stacked = np.stack([window(index) for index, _ in active])
+        bank = np.asarray([coefficient << self._coeff_shift
+                           for _, coefficient in active],
+                          dtype=np.int64).reshape(-1, 1, 1)
+        products = ctx.mul(stacked << self._pixel_shift, bank)
+        # Re-align the products to plain pixel*coefficient units; the HEVC
+        # intermediate values then fit the 16-bit accumulation by design.
+        terms = ctx.wrap(products >> (self._pixel_shift + self._coeff_shift))
+        for tap in range(len(active)):
+            accumulator = ctx.add(accumulator, terms[tap])
         return accumulator >> FILTER_SHIFT
 
     # ------------------------------------------------------------------ #
@@ -202,15 +182,13 @@ class MotionCompensationFilter:
         exact = MotionCompensationFilter(
             width,
             context=ApproxContext(data_width=width,
-                                  backend=self.context.backend),
-            fused=self.fused)
+                                  backend=self.context.backend))
         return exact.interpolate(image, horizontal_phase, vertical_phase).interpolated
 
 
 def mc_quality_score(image: np.ndarray,
                      context: Optional[ApproxContext] = None,
                      horizontal_phase: int = 2, vertical_phase: int = 2,
-                     fused: bool = True,
                      reference_width: Optional[int] = None
                      ) -> Tuple[float, OperationCounts]:
     """MSSIM of the approximate MC filter output against the exact one.
@@ -220,8 +198,7 @@ def mc_quality_score(image: np.ndarray,
     :meth:`MotionCompensationFilter.reference_interpolate`.
     """
     ctx = context if context is not None else ApproxContext()
-    mc = MotionCompensationFilter(data_width=ctx.data_width, context=ctx,
-                                  fused=fused)
+    mc = MotionCompensationFilter(data_width=ctx.data_width, context=ctx)
     approx = mc.interpolate(image, horizontal_phase, vertical_phase)
     reference = mc.reference_interpolate(image, horizontal_phase,
                                          vertical_phase,

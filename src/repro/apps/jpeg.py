@@ -123,13 +123,13 @@ class JpegEncoder:
 
     def __init__(self, quality: int = 90,
                  context: Optional[ApproxContext] = None,
-                 data_width: int = 16, fused: bool = True,
+                 data_width: int = 16,
                  pass_contexts: Optional[Sequence[ApproxContext]] = None
                  ) -> None:
         self.quality = quality
         self.table = quality_scaled_table(quality)
         self.dct = FixedPointDCT(data_width=data_width, context=context,
-                                 fused=fused, pass_contexts=pass_contexts)
+                                 pass_contexts=pass_contexts)
         self.context = self.dct.context
 
     def _counting_contexts(self) -> List[ApproxContext]:

@@ -10,11 +10,9 @@ exact fixed-point run (Tables V and VI).
 
 Coordinates are represented as Q1.15 codes in ``[-1, 1)``; the squared
 distances are accumulated on the 16-bit datapath after re-alignment, exactly
-like the other kernels.  By default the distance computation is *stage-fused*:
-every centroid is evaluated in one batched context call per dimension, with
-the centroid coordinates broadcast over the points.  ``fused=False`` replays
-the seed-style per-centroid loop, bit-identical and with the same operation
-counts.
+like the other kernels.  The distance computation is *stage-fused*: every
+centroid is evaluated in one batched context call per dimension, with the
+centroid coordinates broadcast over the points.
 """
 from __future__ import annotations
 
@@ -63,7 +61,7 @@ class FixedPointKMeans:
 
     def __init__(self, clusters: int = 10, data_width: int = 16,
                  context: Optional[ApproxContext] = None,
-                 iterations: int = 10, fused: bool = True) -> None:
+                 iterations: int = 10) -> None:
         if context is None:
             context = ApproxContext(data_width=data_width)
         elif context.data_width != data_width:
@@ -75,7 +73,6 @@ class FixedPointKMeans:
         self.data_width = context.data_width
         self.frac_bits = context.frac_bits
         self.iterations = iterations
-        self.fused = bool(fused)
 
     @property
     def adder(self):
@@ -90,30 +87,15 @@ class FixedPointKMeans:
     # ------------------------------------------------------------------ #
     # Instrumented distance computation
     # ------------------------------------------------------------------ #
-    def _squared_distance(self, points: np.ndarray,
-                          center: np.ndarray) -> np.ndarray:
-        """Instrumented squared Euclidean distance to one centroid."""
-        ctx = self.context
-        count = points.shape[0]
-        total = np.zeros(count, dtype=np.int64)
-        for dim in range(points.shape[1]):
-            delta = ctx.sub(points[:, dim], int(center[dim]))
-            square = ctx.mul(delta, delta)
-            # Re-align the Q2.30 square onto the Q1.15 data grid; squared
-            # deltas are small, so the halved dynamic keeps them in range.
-            term = ctx.wrap(square >> (self.frac_bits + 1))
-            total = ctx.add(total, term)
-        return total
-
     def _squared_distances(self, points: np.ndarray,
                            centers: np.ndarray) -> np.ndarray:
         """Stage-fused distances to *all* centroids: one call per dimension.
 
         The centroid coordinates broadcast over the points as a coefficient
-        bank, so the whole ``(points, clusters)`` distance matrix costs six
-        context calls instead of ``3 * clusters * dims`` — with per-element
-        arithmetic, accumulation order and operation counts identical to the
-        seed-style per-centroid loop.
+        bank, so the whole ``(points, clusters)`` distance matrix costs
+        ``3 * dims`` context calls while charging the per-centroid operation
+        counts (one subtraction, squaring and accumulation per point,
+        centroid and dimension).
         """
         ctx = self.context
         total = np.zeros((points.shape[0], centers.shape[0]), dtype=np.int64)
@@ -129,15 +111,8 @@ class FixedPointKMeans:
 
     def assign(self, points: np.ndarray, centers: np.ndarray) -> np.ndarray:
         """Assign every point to the centroid with the smallest distance."""
-        if self.fused:
-            distances = self._squared_distances(points, centers)
-        else:
-            distances = np.zeros((points.shape[0], centers.shape[0]),
-                                 dtype=np.int64)
-            for index in range(centers.shape[0]):
-                distances[:, index] = self._squared_distance(points,
-                                                             centers[index])
-        return np.argmin(distances, axis=1).astype(np.int64)
+        return np.argmin(self._squared_distances(points, centers),
+                         axis=1).astype(np.int64)
 
     # ------------------------------------------------------------------ #
     # Full clustering
@@ -163,8 +138,7 @@ class FixedPointKMeans:
 
 def kmeans_success_rate(cloud: PointCloud,
                         context: Optional[ApproxContext] = None,
-                        iterations: int = 10, fused: bool = True
-                        ) -> Tuple[float, OperationCounts]:
+                        iterations: int = 10) -> Tuple[float, OperationCounts]:
     """Success rate of the approximate run against the exact fixed-point run.
 
     Both runs start from the same initial centroids (the generating centres
@@ -176,12 +150,11 @@ def kmeans_success_rate(cloud: PointCloud,
     clusters = cloud.centers.shape[0]
     exact = FixedPointKMeans(clusters=clusters, data_width=width,
                              iterations=iterations,
-                             context=candidate_context.exact_reference(),
-                             fused=fused)
+                             context=candidate_context.exact_reference())
     reference_labels, _, _ = exact.fit(cloud.points, cloud.centers)
 
     candidate = FixedPointKMeans(clusters=clusters, data_width=width,
                                  iterations=iterations,
-                                 context=candidate_context, fused=fused)
+                                 context=candidate_context)
     labels, _, counts = candidate.fit(cloud.points, cloud.centers)
     return success_rate(reference_labels, labels, clusters=clusters), counts

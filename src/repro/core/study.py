@@ -247,11 +247,12 @@ class Study:
 
         Accepts a :class:`~repro.core.store.ResultStore` or a directory
         path.  Sweep points whose exact computation (workload, merged
-        configuration, operators, backend, seed, repro version) was
-        recorded in an earlier session are served from disk and skip their
-        functional simulation; fresh points are written back.  The store is
-        also offered to the energy model (if it has none yet), so hardware
-        characterisations persist alongside.
+        configuration, operators, seed, repro version) was recorded in an
+        earlier session are served from disk and skip their functional
+        simulation; fresh points are written back.  The backend is not part
+        of the key: backends must be bit-identical, so they share records.
+        The store is also offered to the energy model (if it has none yet),
+        so hardware characterisations persist alongside.
         """
         self._store = ResultStore.of(store)
         return self
@@ -647,7 +648,6 @@ class Study:
             "workload": workload.name,
             "config": config,
             "seed": seed,
-            "backend": backend_spec(self._backend),
             "swept": operator_map.swept.name,
             "adder": operator_map.adder.name
             if operator_map.adder is not None else None,

@@ -219,34 +219,18 @@ def _tiles(entries: Sequence[Tuple[str, object]]) -> str:
 
 
 def _perf_section(perf: Optional[Dict[str, object]]) -> str:
-    if not perf or not isinstance(perf.get("studies"), dict):
+    search = perf.get("search") if perf else None
+    if not isinstance(search, dict):
         return "<p class='legend'>no committed perf history</p>"
-    header = ("<tr><th>study</th><th>seed-style s</th><th>fused s</th>"
-              "<th>fusion ×</th><th>identical</th></tr>")
-    rows = []
-    for name, study in sorted(perf["studies"].items()):
-        rows.append(
-            "<tr>" + "".join(
-                f"<td>{_fmt(value)}</td>" for value in (
-                    name, study.get("direct_s"),
-                    study.get("direct_fused_s"),
-                    study.get("fusion_speedup"),
-                    study.get("identical_records"))) + "</tr>")
     version = _fmt(perf.get("repro_version", "?"))
-    parts = [f"<p class='legend'>from {_fmt(perf.get('path', '?'))} "
-             f"(repro {version})</p>"
-             f"<table><thead>{header}</thead>"
-             f"<tbody>{''.join(rows)}</tbody></table>"]
-    search = perf.get("search")
-    if isinstance(search, dict):
-        parts.append(_tiles([
-            ("search ÷ exhaustive evaluation advantage",
-             search.get("eval_advantage")),
-            ("search recall", search.get("recall")),
-            ("search (s)", search.get("search_s")),
-            ("exhaustive sweep (s)", search.get("exhaustive_s")),
-        ]))
-    return "".join(parts)
+    return (f"<p class='legend'>from {_fmt(perf.get('path', '?'))} "
+            f"(repro {version})</p>" + _tiles([
+                ("search ÷ exhaustive evaluation advantage",
+                 search.get("eval_advantage")),
+                ("search recall", search.get("recall")),
+                ("search (s)", search.get("search_s")),
+                ("exhaustive sweep (s)", search.get("exhaustive_s")),
+            ]))
 
 
 def _serve_section(serve: Optional[Dict[str, object]]) -> str:

@@ -37,9 +37,6 @@ class FftWorkload(Workload):
     data_width: int = 16
     frames: int = 8
     amplitude: float = 0.5
-    #: ``False`` replays the seed-style per-twiddle loops (bit-identical;
-    #: kept for equivalence tests and as the benchmark baseline).
-    fused: bool = True
     #: Heterogeneous datapath: one adder spec string per ``log2(size)``
     #: stage (``None`` keeps the homogeneous operator map).  When set, the
     #: operator map's adder slot must be empty — the stages own their
@@ -53,7 +50,7 @@ class FftWorkload(Workload):
     def default_config(self) -> Dict[str, object]:
         return {"size": self.size, "data_width": self.data_width,
                 "frames": self.frames, "amplitude": self.amplitude,
-                "fused": self.fused, "stage_adders": self.stage_adders}
+                "stage_adders": self.stage_adders}
 
     def run(self, operators: OperatorMap, config: Mapping[str, object],
             rng: np.random.Generator) -> WorkloadResult:
@@ -77,8 +74,7 @@ class FftWorkload(Workload):
             contexts = [ApproxContext(adder=name, data_width=width,
                                       backend=operators.backend)
                         for name in names]
-            fft = FixedPointFFT(size, width, stage_contexts=contexts,
-                                fused=bool(config["fused"]))
+            fft = FixedPointFFT(size, width, stage_contexts=contexts)
             psnr = fft_output_psnr(fft, signals)
             stage_counts = [[counts.additions, counts.multiplications]
                             for counts in fft.stage_operation_counts()]
@@ -88,8 +84,7 @@ class FftWorkload(Workload):
                 details={"stage_adders": names,
                          "stage_counts": stage_counts})
         fft = FixedPointFFT(size, width,
-                            context=operators.context(data_width=width),
-                            fused=bool(config["fused"]))
+                            context=operators.context(data_width=width))
         psnr = fft_output_psnr(fft, signals)
         return WorkloadResult(metrics={"psnr_db": psnr},
                               counts=fft.operation_counts())

@@ -31,9 +31,6 @@ class HevcWorkload(Workload):
     #: 16-bit exact filter, so an undersized exact datapath exposes its own
     #: quality cost.
     data_width: int = 16
-    #: ``False`` replays the seed-style per-tap loops (bit-identical;
-    #: kept for equivalence tests and benchmarks).
-    fused: bool = True
 
     name = "hevc"
 
@@ -43,7 +40,7 @@ class HevcWorkload(Workload):
     def default_config(self) -> Dict[str, object]:
         return {"size": self.size, "horizontal_phase": self.horizontal_phase,
                 "vertical_phase": self.vertical_phase, "image": self.image,
-                "data_width": self.data_width, "fused": self.fused}
+                "data_width": self.data_width}
 
     def run(self, operators: OperatorMap, config: Mapping[str, object],
             rng: np.random.Generator) -> WorkloadResult:
@@ -55,7 +52,6 @@ class HevcWorkload(Workload):
             image, context=operators.context(data_width=width),
             horizontal_phase=int(config["horizontal_phase"]),
             vertical_phase=int(config["vertical_phase"]),
-            fused=bool(config["fused"]),
             reference_width=max(width, self.REFERENCE_WIDTH))
         return WorkloadResult(metrics={"mssim": score}, counts=counts,
                               details={"image_pixels": int(image.size)})

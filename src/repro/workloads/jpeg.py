@@ -51,9 +51,6 @@ class JpegWorkload(Workload):
     #: The quality reference always stays the full-precision 16-bit exact
     #: encoder, so narrower datapaths expose their own quality cost.
     data_width: int = 16
-    #: ``False`` replays the seed-style per-coefficient DCT loops
-    #: (bit-identical; kept for equivalence tests and benchmarks).
-    fused: bool = True
     #: Heterogeneous datapath: one adder spec string per DCT matrix pass
     #: (row pass, column pass; ``None`` keeps the homogeneous operator
     #: map).  When set, the operator map's adder slot must be empty — the
@@ -66,7 +63,7 @@ class JpegWorkload(Workload):
     def default_config(self) -> Dict[str, object]:
         return {"size": self.size, "quality": self.quality,
                 "frames": self.frames, "image": self.image,
-                "data_width": self.data_width, "fused": self.fused,
+                "data_width": self.data_width,
                 "pass_adders": self.pass_adders}
 
     def run(self, operators: OperatorMap, config: Mapping[str, object],
@@ -91,7 +88,6 @@ class JpegWorkload(Workload):
         encoder = JpegEncoder(quality=quality,
                               context=operators.context(data_width=width),
                               data_width=width,
-                              fused=bool(config["fused"]),
                               pass_contexts=pass_contexts)
 
         scores = []

@@ -48,17 +48,13 @@ class KmeansWorkload(Workload):
     #: axis).  Generated clouds are quantised to ``data_width - 1``
     #: fractional bits; explicit Q1.15 clouds are requantised on the fly.
     data_width: int = 16
-    #: ``False`` replays the seed-style per-centroid loops (bit-identical;
-    #: kept for equivalence tests and benchmarks).
-    fused: bool = True
 
     name = "kmeans"
 
     def default_config(self) -> Dict[str, object]:
         return {"runs": self.runs, "points_per_run": self.points_per_run,
                 "clusters": self.clusters, "iterations": self.iterations,
-                "clouds": self.clouds, "data_width": self.data_width,
-                "fused": self.fused}
+                "clouds": self.clouds, "data_width": self.data_width}
 
     def run(self, operators: OperatorMap, config: Mapping[str, object],
             rng: np.random.Generator) -> WorkloadResult:
@@ -78,8 +74,7 @@ class KmeansWorkload(Workload):
         for cloud in clouds:
             rate, run_counts = kmeans_success_rate(
                 cloud, context=operators.context(data_width=width),
-                iterations=int(config["iterations"]),
-                fused=bool(config["fused"]))
+                iterations=int(config["iterations"]))
             rates.append(rate)
             counts = run_counts
         return WorkloadResult(

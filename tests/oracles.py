@@ -12,9 +12,19 @@ production models against.
 Operators without an entry (the exact and data-sized operators, BOOTH) are
 already written as their definition; :func:`oracle_compute` returns their
 own ``compute``.
+
+The ``seed_*`` functions play the same role one level up, for the
+application kernels.  The apps run *stage-fused*: one batched context call
+per FFT stage, DCT dot-product step, HEVC tap group or K-means dimension.
+The seed functions are the per-constant loops those kernels were fused
+from: one round of scalar-coefficient context calls per twiddle offset,
+matrix entry, filter tap or centroid.  The fused kernels must match them
+bit for bit, operation counts included.
 """
 import numpy as np
 
+from repro.apps.fft import FftResult
+from repro.apps.hevc_mc import FILTER_SHIFT, LUMA_FILTERS, McFilterResult
 from repro.fxp.quantize import restore_lsbs, wrap_to_width
 from repro.operators import (
     AAMMultiplier,
@@ -157,3 +167,119 @@ def oracle_aligned(op, a, b):
     """Oracle counterpart of :meth:`Operator.aligned`."""
     out = oracle_compute(op, a, b)
     return np.asarray(restore_lsbs(out, op.output_shift), dtype=np.int64)
+
+
+# ---------------------------------------------------------------------- #
+# Seed-style application kernels
+# ---------------------------------------------------------------------- #
+def seed_fft_forward(fft, ctx, real):
+    """``fft.forward(real)`` through ``ctx``, one twiddle offset at a time."""
+    start = ctx.counts
+    x_re = np.asarray(real, dtype=np.int64)[
+        fft._bit_reverse_permutation(fft.size)]
+    x_im = np.zeros_like(x_re)
+    tw_re, tw_im = fft._twiddles
+    half = 1
+    while half < fft.size:
+        step = fft.size // (2 * half)
+        for offset in range(half):
+            tops = np.arange(offset, fft.size, 2 * half, dtype=np.int64)
+            bottoms = tops + half
+            w_re, w_im = int(tw_re[offset * step]), int(tw_im[offset * step])
+            a_re, a_im = fft._halve(x_re[tops]), fft._halve(x_im[tops])
+            b_re, b_im = fft._halve(x_re[bottoms]), fft._halve(x_im[bottoms])
+            prod_re = ctx.sub(fft._mul(ctx, b_re, w_re),
+                              fft._mul(ctx, b_im, w_im))
+            prod_im = ctx.add(fft._mul(ctx, b_re, w_im),
+                              fft._mul(ctx, b_im, w_re))
+            x_re[tops] = ctx.add(a_re, prod_re)
+            x_im[tops] = ctx.add(a_im, prod_im)
+            x_re[bottoms] = ctx.sub(a_re, prod_re)
+            x_im[bottoms] = ctx.sub(a_im, prod_im)
+        half *= 2
+    return FftResult(real=x_re, imag=x_im, counts=ctx.counts_since(start))
+
+
+def seed_dct_matmul(dct, ctx, data):
+    """``dct._coeffs @ data`` per block, one matrix entry at a time."""
+    blocks, n, columns = data.shape
+    result = np.zeros_like(data)
+    for r in range(n):
+        accumulator = np.zeros((blocks, columns), dtype=np.int64)
+        for k in range(n):
+            product = ctx.mul(data[:, k, :], int(dct._coeffs[r, k]))
+            term = ctx.wrap(product >> dct.coeff_frac_bits)
+            accumulator = ctx.add(accumulator, term)
+        result[:, r, :] = accumulator
+    return result
+
+
+def seed_dct_forward(dct, ctx, blocks):
+    """``dct.forward(blocks)`` for a ``(count, 8, 8)`` batch through ``ctx``."""
+    codes = np.asarray(blocks, dtype=np.int64) << dct.pixel_frac_bits
+    temp = seed_dct_matmul(dct, ctx, codes)
+    return np.transpose(
+        seed_dct_matmul(dct, ctx, np.transpose(temp, (0, 2, 1))), (0, 2, 1))
+
+
+def seed_hevc_filter_axis(mc, ctx, image, taps, axis):
+    """One 1-D filter along ``axis``, one multiply-accumulate per tap."""
+    radius_before = len(taps) // 2 - 1
+    pad = [(0, 0), (0, 0)]
+    pad[axis] = (radius_before, len(taps) - 1 - radius_before)
+    padded = np.pad(image, pad, mode="edge").astype(np.int64)
+    rows, columns = image.shape
+    accumulator = np.zeros(image.shape, dtype=np.int64)
+    for index, coefficient in enumerate(taps):
+        if coefficient == 0:
+            continue
+        window = padded[index:index + rows, :] if axis == 0 \
+            else padded[:, index:index + columns]
+        product = ctx.mul(window << mc._pixel_shift,
+                          int(coefficient) << mc._coeff_shift)
+        term = ctx.wrap(product >> (mc._pixel_shift + mc._coeff_shift))
+        accumulator = ctx.add(accumulator, term)
+    return accumulator >> FILTER_SHIFT
+
+
+def seed_hevc_interpolate(mc, ctx, image, horizontal_phase, vertical_phase):
+    """``mc.interpolate(...)`` through ``ctx`` with the per-tap filter."""
+    start = ctx.counts
+    result = np.asarray(image, dtype=np.int64) >> mc._input_shift
+    if horizontal_phase != 0:
+        result = seed_hevc_filter_axis(mc, ctx, result,
+                                       LUMA_FILTERS[horizontal_phase], axis=1)
+    if vertical_phase != 0:
+        result = seed_hevc_filter_axis(mc, ctx, result,
+                                       LUMA_FILTERS[vertical_phase], axis=0)
+    return McFilterResult(
+        interpolated=np.clip(result << mc._input_shift, 0, 255),
+        counts=ctx.counts_since(start))
+
+
+def seed_kmeans_assign(kmeans, ctx, points, centers):
+    """Nearest-centroid labels, one squared distance per centroid."""
+    distances = np.zeros((points.shape[0], centers.shape[0]), dtype=np.int64)
+    for index, center in enumerate(centers):
+        total = np.zeros(points.shape[0], dtype=np.int64)
+        for dim in range(points.shape[1]):
+            delta = ctx.sub(points[:, dim], int(center[dim]))
+            square = ctx.mul(delta, delta)
+            term = ctx.wrap(square >> (kmeans.frac_bits + 1))
+            total = ctx.add(total, term)
+        distances[:, index] = total
+    return np.argmin(distances, axis=1).astype(np.int64)
+
+
+def seed_kmeans_fit(kmeans, ctx, points, initial_centers):
+    """``kmeans.fit(...)`` through ``ctx`` with the per-centroid distances."""
+    start = ctx.counts
+    centers = np.asarray(initial_centers, dtype=np.int64).copy()
+    labels = np.zeros(points.shape[0], dtype=np.int64)
+    for _ in range(kmeans.iterations):
+        labels = seed_kmeans_assign(kmeans, ctx, points, centers)
+        for index in range(kmeans.clusters):
+            members = points[labels == index]
+            if members.shape[0] > 0:
+                centers[index] = np.round(members.mean(axis=0)).astype(np.int64)
+    return labels, centers, ctx.counts_since(start)

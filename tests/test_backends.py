@@ -441,6 +441,12 @@ class TestStudyBackendThreading(object):
 
         assert run("direct").rows == run(plugin).rows
 
+    def test_backends_share_store_records(self, plugin, tmp_path):
+        filled = self._study("direct").store(tmp_path).run()
+        shared = self._study(plugin).store(tmp_path).run()
+        assert shared.metadata["store_hits"] == len(shared.rows)
+        assert shared.rows == filled.rows
+
     def test_run_all_accepts_backend(self):
         import inspect
 

@@ -99,8 +99,20 @@ class TestRender(object):
         generate_report(bundle_dir, bench_paths=[perf, serve],
                         output=tmp_path / "report.html")
         text = (tmp_path / "report.html").read_text()
-        assert "Backend benchmark" in text or "perf" in text
+        assert "search recall" in text  # the perf search tiles
+        assert "search ÷ exhaustive evaluation advantage" in text
         assert "warm" in text  # the serve tiles
+
+    def test_search_tiles_render_without_studies(self, bundle_dir, tmp_path):
+        perf = tmp_path / "BENCH_perf.json"
+        perf.write_text(json.dumps({"script": "benchmarks/perf_bench.py",
+                                    "search": {"eval_advantage": 3.27,
+                                               "recall": 1.0}}))
+        generate_report(bundle_dir, bench_paths=[perf],
+                        output=tmp_path / "report.html")
+        text = (tmp_path / "report.html").read_text()
+        assert "search recall" in text
+        assert "no committed perf history" not in text
 
     def test_render_without_bench_history(self, bundle_dir, tmp_path):
         document = generate_report(bundle_dir, bench_paths=[],

@@ -74,10 +74,15 @@ class TestWorkloadRegistry(object):
         with pytest.raises(KeyError, match="no_such_workload"):
             create_workload("no_such_workload")
 
-    def test_unknown_config_key_rejected(self):
-        workload = parse_workload("fft")
-        with pytest.raises(ValueError, match="no_such_key"):
-            workload.merged_config({"no_such_key": 1})
+    @pytest.mark.parametrize("overrides", [{"no_such_key": 1},
+                                           {"fused": False}],
+                             ids=["no_such_key", "fused"])
+    @pytest.mark.parametrize("name", ["fft", "jpeg", "hevc", "kmeans"])
+    def test_unknown_config_key_rejected(self, name, overrides):
+        workload = parse_workload(name)
+        (key,) = overrides
+        with pytest.raises(ValueError, match=key):
+            workload.merged_config(overrides)
 
     def test_custom_workload_plugin(self):
         class CountOnly(Workload):
