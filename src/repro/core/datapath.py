@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
 from ..hardware.report import HardwareReport
-from ..hardware.synthesis import characterize_hardware
+from ..hardware.synthesis import HARDWARE_MODEL_VERSION, characterize_hardware
 from ..operators.adders import TruncatedAdder
 from ..operators.base import AdderOperator, MultiplierOperator, Operator
 from ..operators.multipliers import TruncatedMultiplier
@@ -141,10 +141,8 @@ class DatapathEnergyModel:
         return self._cache[key]
 
     def _store_key(self, operator: Operator) -> Dict[str, object]:
-        from .. import __version__
-
         return {
-            "repro": __version__,
+            "hardware_model": HARDWARE_MODEL_VERSION,
             "operator": operator.name,
             "frequency_hz": self.frequency_hz,
             "samples": self.hardware_samples,

@@ -87,9 +87,13 @@ def canonical_key(value: object) -> object:
 
 def key_digest(kind: str, key: object) -> str:
     """Stable hex digest naming the record file of ``key`` within ``kind``."""
-    canonical = json.dumps({"kind": kind, "key": canonical_key(key)},
-                           sort_keys=True, separators=(",", ":"))
-    return hashlib.sha1(canonical.encode()).hexdigest()
+    return _canonical_digest(kind, canonical_key(key))
+
+
+def _canonical_digest(kind: str, canonical: object) -> str:
+    text = json.dumps({"kind": kind, "key": canonical},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha1(text.encode()).hexdigest()
 
 
 class ResultStore:
@@ -126,7 +130,10 @@ class ResultStore:
     # Record access
     # ------------------------------------------------------------------ #
     def path_for(self, kind: str, key: object) -> Path:
-        return self.directory / kind / f"{key_digest(kind, key)}.json"
+        return self._path(kind, canonical_key(key))
+
+    def _path(self, kind: str, canonical: object) -> Path:
+        return self.directory / kind / f"{_canonical_digest(kind, canonical)}.json"
 
     def load(self, kind: str, key: object) -> Optional[Dict[str, object]]:
         """Stored payload of ``(kind, key)``, or ``None`` on any miss.
@@ -145,9 +152,9 @@ class ResultStore:
 
     def _load_validated(self, kind: str, key: object
                         ) -> Optional[Dict[str, object]]:
-        path = self.path_for(kind, key)
+        canonical = canonical_key(key)
         try:
-            document = json.loads(path.read_text())
+            document = json.loads(self._path(kind, canonical).read_text())
         except (OSError, ValueError):
             return None
         if not isinstance(document, dict):
@@ -156,7 +163,7 @@ class ResultStore:
             return None
         if document.get("kind") != kind:
             return None
-        if document.get("key") != canonical_key(key):
+        if document.get("key") != canonical:
             return None
         payload = document.get("payload")
         return payload if isinstance(payload, dict) else None
@@ -172,11 +179,12 @@ class ResultStore:
         """
         from .results import _jsonify
 
-        path = self.path_for(kind, key)
+        canonical = canonical_key(key)
+        path = self._path(kind, canonical)
         document = {
             "store_version": STORE_VERSION,
             "kind": kind,
-            "key": canonical_key(key),
+            "key": canonical,
             "payload": payload,
         }
         try:

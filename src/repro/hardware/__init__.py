@@ -25,11 +25,7 @@ from .calibration import (
     get_calibration,
 )
 from .netlist import Gate, Netlist
-from .power import (
-    MonteCarloPowerEstimator,
-    PowerBreakdown,
-    ProbabilisticPowerEstimator,
-)
+from .power import MonteCarloPowerEstimator, PowerBreakdown
 from .report import HardwareReport
 from .synthesis import build_netlist, characterize_hardware, verify_netlist_equivalence
 from .technology import CellParameters, GateKind, TECH_28NM, TechnologyLibrary
@@ -44,7 +40,6 @@ __all__ = [
     "HardwareReport",
     "PowerBreakdown",
     "MonteCarloPowerEstimator",
-    "ProbabilisticPowerEstimator",
     "ripple_carry_adder",
     "quantized_output_adder",
     "rca_approximate_adder",

@@ -7,15 +7,51 @@ activity-based power figure.  Netlists are built programmatically by the
 operator builders; gates must be appended in topological order (a gate's
 inputs are either primary inputs, constants or outputs of earlier gates),
 which every builder naturally satisfies.
+
+Simulation is bit-parallel.  Each wire's values over all samples are packed
+into one Python int (bit *i* holds sample *i*; ports are packed and unpacked
+with ``np.packbits`` / ``np.unpackbits``, little bit order), so every gate
+is a single bitwise expression over whole sample streams: inverting kinds
+XOR an all-ones mask, ``MAJ3 = (a&b)|(c&(a|b))``, ``MUX2 = (s&in2)|(~s&in1)``.
+Timing (arrival time, logic depth, input skew) is one forward pass in gate
+order; area and leakage are per-kind lookups summed in gate order.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .technology import GateKind, TechnologyLibrary, TECH_28NM
+from .technology import PSEUDO_KINDS, GateKind, TechnologyLibrary, TECH_28NM
+
+
+#: One bitwise expression per gate kind over packed sample streams; ``ones``
+#: is the all-ones mask of the stream width.
+_PACKED_OPERATIONS: Dict[GateKind, Callable[..., int]] = {
+    GateKind.CONST0: lambda ones: 0,
+    GateKind.CONST1: lambda ones: ones,
+    GateKind.BUF: lambda ones, a: a,
+    GateKind.NOT: lambda ones, a: a ^ ones,
+    GateKind.AND2: lambda ones, a, b: a & b,
+    GateKind.OR2: lambda ones, a, b: a | b,
+    GateKind.NAND2: lambda ones, a, b: (a & b) ^ ones,
+    GateKind.NOR2: lambda ones, a, b: (a | b) ^ ones,
+    GateKind.XOR2: lambda ones, a, b: a ^ b,
+    GateKind.XNOR2: lambda ones, a, b: a ^ b ^ ones,
+    GateKind.MUX2: lambda ones, s, in1, in2: (s & in2) | (~s & in1),
+    GateKind.MAJ3: lambda ones, a, b, c: (a & b) | (c & (a | b)),
+    GateKind.AOI21: lambda ones, a, b, c: ((a & b) | c) ^ ones,
+}
+
+
+def unpack_samples(packed: Sequence[int], samples: int) -> np.ndarray:
+    """``(len(packed), samples)`` uint8 bit matrix of packed sample streams."""
+    width = (samples + 7) // 8
+    raw = b"".join(value.to_bytes(width, "little") for value in packed)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(packed), width)
+    return np.unpackbits(rows, axis=1, count=samples, bitorder="little")
 
 
 @dataclass(frozen=True)
@@ -137,19 +173,14 @@ class Netlist:
 
     def gate_count(self, kind: Optional[GateKind] = None) -> int:
         """Number of logic gates (pseudo-cells excluded), optionally by kind."""
-        pseudo = (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1)
         if kind is None:
-            return sum(1 for g in self._gates if g.kind not in pseudo)
+            return sum(1 for g in self._gates if g.kind not in PSEUDO_KINDS)
         return sum(1 for g in self._gates if g.kind is kind)
 
     def gate_histogram(self) -> Dict[str, int]:
         """Cell-count histogram, useful for reports and tests."""
-        histogram: Dict[str, int] = {}
-        pseudo = (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1)
-        for gate in self._gates:
-            if gate.kind in pseudo:
-                continue
-            histogram[gate.kind.value] = histogram.get(gate.kind.value, 0) + 1
+        counts = Counter(g.kind for g in self._gates if g.kind not in PSEUDO_KINDS)
+        histogram = {kind.value: count for kind, count in counts.items()}
         if self._register_bits:
             histogram[GateKind.DFF.value] = histogram.get(GateKind.DFF.value, 0) \
                 + self._register_bits
@@ -160,40 +191,48 @@ class Netlist:
     # ------------------------------------------------------------------ #
     def area_um2(self) -> float:
         """Total cell area, combinational gates plus I/O registers."""
-        tech = self.technology
-        total = sum(tech.area(g.kind) for g in self._gates)
-        total += self._register_bits * tech.area(GateKind.DFF)
-        return total
+        return self._cell_total("area_um2")
 
     def leakage_nw(self) -> float:
         """Total leakage power in nanowatts."""
-        tech = self.technology
-        total = sum(tech.leakage(g.kind) for g in self._gates)
-        total += self._register_bits * tech.leakage(GateKind.DFF)
-        return total
+        return self._cell_total("leakage_nw")
 
-    def wire_depths(self) -> np.ndarray:
-        """Arrival time (ns) of every wire assuming zero input arrival."""
-        tech = self.technology
-        arrival = np.zeros(self._wire_count, dtype=np.float64)
-        for gate in self._gates:
-            if gate.kind in (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1):
-                arrival[gate.output] = 0.0
-                continue
-            start = max((arrival[w] for w in gate.inputs), default=0.0)
-            arrival[gate.output] = start + tech.delay(gate.kind)
-        return arrival
+    def _cell_total(self, parameter: str) -> float:
+        """One cell parameter summed over the gates, then the registers.
 
-    def wire_logic_depths(self) -> np.ndarray:
-        """Logic depth (gate count from primary inputs) of every wire."""
-        depth = np.zeros(self._wire_count, dtype=np.int64)
+        The sum runs left to right in gate order.  (Builtin ``sum`` is
+        compensated from Python 3.12 on, which would change the last bits
+        between Python versions.)
+        """
+        per_kind = {kind: getattr(cell, parameter)
+                    for kind, cell in self.technology.cell_table().items()}
+        total = 0.0
         for gate in self._gates:
-            if gate.kind in (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1):
-                depth[gate.output] = 0
+            total += per_kind[gate.kind]
+        return total + self._register_bits * per_kind[GateKind.DFF]
+
+    def timing(self) -> Tuple[List[float], List[float]]:
+        """Arrival time (ns) and input skew (gate levels) of every wire.
+
+        One forward pass in gate order.  Arrival assumes zero input arrival.
+        The skew of a gate is the difference between the logic depths (gate
+        counts from the primary inputs) of its latest and earliest arriving
+        inputs: the number of evaluation waves during which it may glitch
+        before settling.
+        """
+        cells = self.technology.cell_table()
+        arrival = [0.0] * self._wire_count
+        depth = [0] * self._wire_count
+        skew = [0.0] * self._wire_count
+        for gate in self._gates:
+            if gate.kind in PSEUDO_KINDS:
                 continue
-            start = max((depth[w] for w in gate.inputs), default=0)
-            depth[gate.output] = start + 1
-        return depth
+            depths = sorted(map(depth.__getitem__, gate.inputs)) or [0]
+            depth[gate.output] = depths[-1] + 1
+            skew[gate.output] = float(depths[-1] - depths[0])
+            start = max(map(arrival.__getitem__, gate.inputs), default=0.0)
+            arrival[gate.output] = start + cells[gate.kind].delay_ns
+        return arrival, skew
 
     def critical_path_ns(self) -> float:
         """Longest input-to-output combinational delay.
@@ -201,7 +240,7 @@ class Netlist:
         The clock-to-q / setup overhead of the I/O registers is added when
         registers are present, mirroring what a synthesis report would show.
         """
-        arrival = self.wire_depths()
+        arrival, _ = self.timing()
         outputs = [w for wires in self._ports_out.values() for w in wires]
         path = max((arrival[w] for w in outputs), default=0.0)
         if self._register_bits:
@@ -211,77 +250,52 @@ class Netlist:
     # ------------------------------------------------------------------ #
     # Logic simulation
     # ------------------------------------------------------------------ #
-    def evaluate(self, inputs: Dict[str, np.ndarray],
-                 return_wires: bool = False
-                 ) -> Dict[str, np.ndarray] | Tuple[Dict[str, np.ndarray], np.ndarray]:
-        """Simulate the netlist on integer stimulus.
+    def simulate(self, inputs: Dict[str, np.ndarray]) -> Tuple[List[int], int]:
+        """Bit-parallel simulation of every wire on integer stimulus.
 
         ``inputs`` maps port names to arrays of (unsigned or two's-complement)
-        integer codes; each code is expanded into the port's bit wires.
-        Returns the output ports re-assembled into unsigned integer codes,
-        plus optionally the full wire-value matrix (samples x wires) used by
-        the toggle-based power estimation.
+        integer codes.  Returns ``(wires, samples)``: ``wires[w]`` packs wire
+        ``w``'s value on every sample into one int, bit *i* holding sample *i*.
         """
         sizes = {np.asarray(v).size for v in inputs.values()}
         if len(sizes) != 1:
             raise ValueError("all input ports must have the same number of samples")
         samples = sizes.pop()
+        ones = (1 << samples) - 1
 
-        values = np.zeros((samples, self._wire_count), dtype=np.int8)
+        values = [0] * self._wire_count
         for port, wires in self._ports_in.items():
             if port not in inputs:
                 raise ValueError(f"missing stimulus for input port {port!r}")
-            codes = np.asarray(inputs[port], dtype=np.int64)
-            for bit, wire in enumerate(wires):
-                values[:, wire] = (codes >> bit) & 1
+            codes = np.asarray(inputs[port], dtype=np.int64).reshape(-1)
+            bits = (codes >> np.arange(len(wires), dtype=np.int64)[:, None]) & 1
+            packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+            for wire, row in zip(wires, packed):
+                values[wire] = int.from_bytes(row.tobytes(), "little")
 
         for gate in self._gates:
-            kind = gate.kind
-            if kind is GateKind.INPUT:
+            if gate.kind is GateKind.INPUT:
                 continue
-            if kind is GateKind.CONST0:
-                values[:, gate.output] = 0
-            elif kind is GateKind.CONST1:
-                values[:, gate.output] = 1
-            elif kind is GateKind.BUF:
-                values[:, gate.output] = values[:, gate.inputs[0]]
-            elif kind is GateKind.NOT:
-                values[:, gate.output] = 1 - values[:, gate.inputs[0]]
-            elif kind is GateKind.AND2:
-                values[:, gate.output] = values[:, gate.inputs[0]] & values[:, gate.inputs[1]]
-            elif kind is GateKind.OR2:
-                values[:, gate.output] = values[:, gate.inputs[0]] | values[:, gate.inputs[1]]
-            elif kind is GateKind.NAND2:
-                values[:, gate.output] = 1 - (values[:, gate.inputs[0]] & values[:, gate.inputs[1]])
-            elif kind is GateKind.NOR2:
-                values[:, gate.output] = 1 - (values[:, gate.inputs[0]] | values[:, gate.inputs[1]])
-            elif kind is GateKind.XOR2:
-                values[:, gate.output] = values[:, gate.inputs[0]] ^ values[:, gate.inputs[1]]
-            elif kind is GateKind.XNOR2:
-                values[:, gate.output] = 1 - (values[:, gate.inputs[0]] ^ values[:, gate.inputs[1]])
-            elif kind is GateKind.MUX2:
-                sel = values[:, gate.inputs[0]]
-                values[:, gate.output] = np.where(sel == 1,
-                                                  values[:, gate.inputs[2]],
-                                                  values[:, gate.inputs[1]])
-            elif kind is GateKind.MAJ3:
-                total = (values[:, gate.inputs[0]].astype(np.int16)
-                         + values[:, gate.inputs[1]] + values[:, gate.inputs[2]])
-                values[:, gate.output] = (total >= 2).astype(np.int8)
-            elif kind is GateKind.AOI21:
-                a, b, c = gate.inputs
-                values[:, gate.output] = 1 - ((values[:, a] & values[:, b]) | values[:, c])
-            else:  # pragma: no cover - exhaustive enum
-                raise ValueError(f"unsupported gate kind {kind}")
+            operation = _PACKED_OPERATIONS.get(gate.kind)
+            if operation is None:
+                raise ValueError(f"unsupported gate kind {gate.kind}")
+            values[gate.output] = operation(ones, *[values[w] for w in gate.inputs])
+        return values, samples
 
+    def evaluate(self, inputs: Dict[str, np.ndarray]) -> Dict[str, np.ndarray]:
+        """Simulate the netlist and re-assemble each output port.
+
+        Returns the output ports as unsigned integer codes (see
+        :meth:`simulate` for the stimulus format).
+        """
+        values, samples = self.simulate(inputs)
         outputs: Dict[str, np.ndarray] = {}
         for port, wires in self._ports_out.items():
+            bits = unpack_samples([values[w] for w in wires], samples)
             codes = np.zeros(samples, dtype=np.int64)
-            for bit, wire in enumerate(wires):
-                codes |= values[:, wire].astype(np.int64) << bit
+            for bit, row in enumerate(bits):
+                codes |= row.astype(np.int64) << bit
             outputs[port] = codes
-        if return_wires:
-            return outputs, values
         return outputs
 
     def evaluate_signed(self, inputs: Dict[str, np.ndarray],

@@ -1,17 +1,14 @@
 """Activity-based power estimation on gate-level netlists.
 
-Two estimators are provided, mirroring the two classical EDA approaches:
+:class:`MonteCarloPowerEstimator` simulates the netlist on a stream of
+random vectors, counts output toggles per gate and converts the switching
+activity into dynamic power.  This is the equivalent of the paper's
+gate-level simulation (ModelSim activity file) feeding PrimeTime.  The
+simulation is the netlist's bit-parallel pass: each gate output is one packed
+int over all samples, and its toggles are the popcount of ``x ^ (x >> 1)``
+restricted to the ``samples - 1`` consecutive sample pairs.
 
-* :class:`MonteCarloPowerEstimator` — simulate the netlist on a stream of
-  random vectors, count output toggles per gate, and convert the switching
-  activity into dynamic power.  This is the equivalent of the paper's
-  gate-level simulation (ModelSim activity file) feeding PrimeTime.
-* :class:`ProbabilisticPowerEstimator` — propagate static signal
-  probabilities through the netlist assuming spatial/temporal independence
-  and derive the transition density analytically.  Cheaper, used as a
-  cross-check and for very large sweeps.
-
-Both include a glitch estimate driven by the *arrival-time skew* of each
+The estimate includes a glitch term driven by the *arrival-time skew* of each
 gate's inputs: a gate whose inputs settle at very different times produces
 spurious transitions before reaching its final value.  Ripple/array
 structures (long unbalanced carry chains, e.g. the array multiplier AAM is
@@ -27,8 +24,8 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .netlist import Netlist
-from .technology import GateKind
+from .netlist import Netlist, unpack_samples
+from .technology import PSEUDO_KINDS, GateKind
 
 
 #: Fraction of the flip-flop switching energy drawn every cycle by the clock
@@ -49,25 +46,6 @@ class PowerBreakdown:
     @property
     def total_mw(self) -> float:
         return self.dynamic_mw + self.leakage_mw + self.register_mw
-
-
-def _input_skews(netlist: Netlist) -> np.ndarray:
-    """Arrival-time skew (in gate levels) between each gate's inputs.
-
-    The skew of a gate is the difference between the logic depths of its
-    latest and earliest arriving inputs; it is the number of evaluation waves
-    during which the gate may glitch before settling.
-    """
-    depths = netlist.wire_logic_depths()
-    skews = np.zeros(len(depths), dtype=np.float64)
-    for gate in netlist.gates:
-        if gate.kind in (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1):
-            continue
-        if not gate.inputs:
-            continue
-        input_depths = [depths[w] for w in gate.inputs]
-        skews[gate.output] = float(max(input_depths) - min(input_depths))
-    return skews
 
 
 class MonteCarloPowerEstimator:
@@ -98,106 +76,24 @@ class MonteCarloPowerEstimator:
         """Estimate the average power of the netlist in milliwatts."""
         if stimulus is None:
             stimulus = self._random_stimulus(netlist)
-        _, wire_values = netlist.evaluate(stimulus, return_wires=True)
-        toggles = np.abs(np.diff(wire_values.astype(np.int8), axis=0)).sum(axis=0)
-        cycles = wire_values.shape[0] - 1
-        activity = toggles.astype(np.float64) / max(cycles, 1)
+        values, samples = netlist.simulate(stimulus)
+        gates = [g for g in netlist.gates if g.kind not in PSEUDO_KINDS]
+        # Bit i of x ^ (x >> 1) flags a toggle between samples i and i + 1.
+        pairs = (1 << max(samples - 1, 0)) - 1
+        changes = [(x ^ (x >> 1)) & pairs for x in (values[g.output] for g in gates)]
+        toggles = unpack_samples(changes, samples).sum(axis=1).tolist()
+        cycles = max(samples - 1, 1)
 
-        skews = _input_skews(netlist)
-        tech = netlist.technology
-
+        _, skews = netlist.timing()
+        cells = netlist.technology.cell_table()
         dynamic_fj_per_cycle = 0.0
-        for gate in netlist.gates:
-            if gate.kind in (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1):
-                continue
+        for gate, count in zip(gates, toggles):
             glitch = 1.0 + self.glitch_factor * skews[gate.output]
-            dynamic_fj_per_cycle += (activity[gate.output] * glitch
-                                     * tech.switch_energy(gate.kind))
+            dynamic_fj_per_cycle += (count / cycles * glitch
+                                     * cells[gate.kind].switch_energy_fj)
 
-        register_fj_per_cycle = netlist.register_bits * tech.switch_energy(GateKind.DFF) \
-            * (_DFF_CLOCK_FRACTION + _DFF_DATA_ACTIVITY * 0.5)
-
-        dynamic_mw = dynamic_fj_per_cycle * 1e-15 * self.frequency_hz * 1e3
-        register_mw = register_fj_per_cycle * 1e-15 * self.frequency_hz * 1e3
-        leakage_mw = netlist.leakage_nw() * 1e-6
-        return PowerBreakdown(dynamic_mw=dynamic_mw, leakage_mw=leakage_mw,
-                              register_mw=register_mw)
-
-
-class ProbabilisticPowerEstimator:
-    """Signal-probability / transition-density power estimation.
-
-    Signal probabilities are propagated through the netlist assuming
-    independent inputs with probability 0.5; the per-gate switching activity
-    under the temporal-independence assumption is ``2 p (1 - p)`` transitions
-    per cycle.
-    """
-
-    def __init__(self, frequency_hz: float = 100e6, glitch_factor: float = 0.25,
-                 input_probability: float = 0.5) -> None:
-        if not 0.0 < input_probability < 1.0:
-            raise ValueError("input probability must lie in (0, 1)")
-        self.frequency_hz = frequency_hz
-        self.glitch_factor = glitch_factor
-        self.input_probability = input_probability
-
-    def signal_probabilities(self, netlist: Netlist) -> np.ndarray:
-        """Probability of each wire being 1 under independent random inputs."""
-        prob = np.zeros(len(netlist.wire_logic_depths()), dtype=np.float64)
-        for gate in netlist.gates:
-            kind = gate.kind
-            ins = [prob[w] for w in gate.inputs]
-            if kind is GateKind.INPUT:
-                prob[gate.output] = self.input_probability
-            elif kind is GateKind.CONST0:
-                prob[gate.output] = 0.0
-            elif kind is GateKind.CONST1:
-                prob[gate.output] = 1.0
-            elif kind in (GateKind.BUF,):
-                prob[gate.output] = ins[0]
-            elif kind is GateKind.NOT:
-                prob[gate.output] = 1.0 - ins[0]
-            elif kind is GateKind.AND2:
-                prob[gate.output] = ins[0] * ins[1]
-            elif kind is GateKind.NAND2:
-                prob[gate.output] = 1.0 - ins[0] * ins[1]
-            elif kind is GateKind.OR2:
-                prob[gate.output] = 1.0 - (1.0 - ins[0]) * (1.0 - ins[1])
-            elif kind is GateKind.NOR2:
-                prob[gate.output] = (1.0 - ins[0]) * (1.0 - ins[1])
-            elif kind is GateKind.XOR2:
-                prob[gate.output] = ins[0] + ins[1] - 2.0 * ins[0] * ins[1]
-            elif kind is GateKind.XNOR2:
-                prob[gate.output] = 1.0 - (ins[0] + ins[1] - 2.0 * ins[0] * ins[1])
-            elif kind is GateKind.MUX2:
-                s, a, b = ins
-                prob[gate.output] = (1.0 - s) * a + s * b
-            elif kind is GateKind.MAJ3:
-                a, b, c = ins
-                prob[gate.output] = (a * b + a * c + b * c - 2.0 * a * b * c)
-            elif kind is GateKind.AOI21:
-                a, b, c = ins
-                prob[gate.output] = (1.0 - a * b) * (1.0 - c)
-            else:  # pragma: no cover - exhaustive enum
-                raise ValueError(f"unsupported gate kind {kind}")
-        return prob
-
-    def estimate(self, netlist: Netlist) -> PowerBreakdown:
-        """Estimate the average power of the netlist in milliwatts."""
-        prob = self.signal_probabilities(netlist)
-        skews = _input_skews(netlist)
-        tech = netlist.technology
-
-        dynamic_fj_per_cycle = 0.0
-        for gate in netlist.gates:
-            if gate.kind in (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1):
-                continue
-            p = prob[gate.output]
-            activity = 2.0 * p * (1.0 - p)
-            glitch = 1.0 + self.glitch_factor * skews[gate.output]
-            dynamic_fj_per_cycle += activity * glitch * tech.switch_energy(gate.kind)
-
-        register_fj_per_cycle = netlist.register_bits * tech.switch_energy(GateKind.DFF) \
+        register_fj_per_cycle = netlist.register_bits \
+            * cells[GateKind.DFF].switch_energy_fj \
             * (_DFF_CLOCK_FRACTION + _DFF_DATA_ACTIVITY * 0.5)
 
         dynamic_mw = dynamic_fj_per_cycle * 1e-15 * self.frequency_hz * 1e3

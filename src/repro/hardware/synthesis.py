@@ -44,6 +44,12 @@ from .power import MonteCarloPowerEstimator
 from .report import HardwareReport
 from .technology import TechnologyLibrary, TECH_28NM
 
+#: Version of the hardware cost model: netlist builders, technology library,
+#: simulation, power estimation and calibration.  Stored characterisations
+#: are keyed by it, so bump it whenever a change alters any
+#: :class:`HardwareReport`.
+HARDWARE_MODEL_VERSION = 1
+
 
 def build_netlist(operator: Operator, registered: bool = True,
                   technology: TechnologyLibrary = TECH_28NM) -> Netlist:

@@ -46,6 +46,11 @@ class CellParameters:
     leakage_nw: float
 
 
+#: Parameters of the INPUT / CONST pseudo-cells, which cost nothing.
+FREE_CELL = CellParameters(0.0, 0.0, 0.0, 0.0)
+PSEUDO_KINDS = frozenset({GateKind.INPUT, GateKind.CONST0, GateKind.CONST1})
+
+
 @dataclass(frozen=True)
 class TechnologyLibrary:
     """A complete cell library plus global operating assumptions."""
@@ -59,11 +64,18 @@ class TechnologyLibrary:
 
     def cell(self, kind: GateKind) -> CellParameters:
         """Parameters of a cell kind (INPUT/CONST pseudo-cells are free)."""
-        if kind in (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1):
-            return CellParameters(0.0, 0.0, 0.0, 0.0)
+        if kind in PSEUDO_KINDS:
+            return FREE_CELL
         if kind not in self.cells:
             raise KeyError(f"technology {self.name!r} has no cell {kind.value!r}")
         return self.cells[kind]
+
+    def cell_table(self) -> Dict[GateKind, CellParameters]:
+        """Every cell of the library plus the free pseudo-cells, for per-gate
+        lookups."""
+        table = dict(self.cells)
+        table.update(dict.fromkeys(PSEUDO_KINDS, FREE_CELL))
+        return table
 
     def area(self, kind: GateKind) -> float:
         return self.cell(kind).area_um2

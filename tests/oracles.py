@@ -20,12 +20,21 @@ The seed functions are the per-constant loops those kernels were fused
 from: one round of scalar-coefficient context calls per twiddle offset,
 matrix entry, filter tap or centroid.  The fused kernels must match them
 bit for bit, operation counts included.
+
+:func:`seed_netlist_evaluate` and :func:`seed_monte_carlo_estimate` do the
+same for the hardware layer: the per-gate simulator (one NumPy op per gate
+on a samples x wires int8 matrix, toggles from ``|diff|`` down each column)
+that the bit-parallel ``Netlist.evaluate`` and
+``MonteCarloPowerEstimator.estimate`` replaced.  Output codes and power
+breakdowns must match exactly.
 """
 import numpy as np
 
 from repro.apps.fft import FftResult
 from repro.apps.hevc_mc import FILTER_SHIFT, LUMA_FILTERS, McFilterResult
 from repro.fxp.quantize import restore_lsbs, wrap_to_width
+from repro.hardware import GateKind, PowerBreakdown
+from repro.hardware.power import _DFF_CLOCK_FRACTION, _DFF_DATA_ACTIVITY
 from repro.operators import (
     AAMMultiplier,
     ABMMultiplier,
@@ -283,3 +292,126 @@ def seed_kmeans_fit(kmeans, ctx, points, initial_centers):
             if members.shape[0] > 0:
                 centers[index] = np.round(members.mean(axis=0)).astype(np.int64)
     return labels, centers, ctx.counts_since(start)
+
+
+# ---------------------------------------------------------------------- #
+# Per-gate netlist simulator
+# ---------------------------------------------------------------------- #
+_PSEUDO = (GateKind.INPUT, GateKind.CONST0, GateKind.CONST1)
+
+
+def seed_netlist_evaluate(netlist, inputs, return_wires=False):
+    """``netlist.evaluate(inputs)`` with one NumPy column op per gate.
+
+    Wire values live in a (samples x wires) int8 matrix; with
+    ``return_wires`` the matrix is returned alongside the output codes.
+    """
+    sizes = {np.asarray(v).size for v in inputs.values()}
+    if len(sizes) != 1:
+        raise ValueError("all input ports must have the same number of samples")
+    samples = sizes.pop()
+
+    values = np.zeros((samples, netlist._wire_count), dtype=np.int8)
+    for port, wires in netlist.input_ports.items():
+        if port not in inputs:
+            raise ValueError(f"missing stimulus for input port {port!r}")
+        codes = np.asarray(inputs[port], dtype=np.int64)
+        for bit, wire in enumerate(wires):
+            values[:, wire] = (codes >> bit) & 1
+
+    for gate in netlist.gates:
+        kind, ins, out = gate.kind, gate.inputs, gate.output
+        if kind is GateKind.INPUT:
+            continue
+        if kind is GateKind.CONST0:
+            values[:, out] = 0
+        elif kind is GateKind.CONST1:
+            values[:, out] = 1
+        elif kind is GateKind.BUF:
+            values[:, out] = values[:, ins[0]]
+        elif kind is GateKind.NOT:
+            values[:, out] = 1 - values[:, ins[0]]
+        elif kind is GateKind.AND2:
+            values[:, out] = values[:, ins[0]] & values[:, ins[1]]
+        elif kind is GateKind.OR2:
+            values[:, out] = values[:, ins[0]] | values[:, ins[1]]
+        elif kind is GateKind.NAND2:
+            values[:, out] = 1 - (values[:, ins[0]] & values[:, ins[1]])
+        elif kind is GateKind.NOR2:
+            values[:, out] = 1 - (values[:, ins[0]] | values[:, ins[1]])
+        elif kind is GateKind.XOR2:
+            values[:, out] = values[:, ins[0]] ^ values[:, ins[1]]
+        elif kind is GateKind.XNOR2:
+            values[:, out] = 1 - (values[:, ins[0]] ^ values[:, ins[1]])
+        elif kind is GateKind.MUX2:
+            sel = values[:, ins[0]]
+            values[:, out] = np.where(sel == 1, values[:, ins[2]], values[:, ins[1]])
+        elif kind is GateKind.MAJ3:
+            total = (values[:, ins[0]].astype(np.int16)
+                     + values[:, ins[1]] + values[:, ins[2]])
+            values[:, out] = (total >= 2).astype(np.int8)
+        elif kind is GateKind.AOI21:
+            a, b, c = ins
+            values[:, out] = 1 - ((values[:, a] & values[:, b]) | values[:, c])
+        else:
+            raise ValueError(f"unsupported gate kind {kind}")
+
+    outputs = {}
+    for port, wires in netlist.output_ports.items():
+        codes = np.zeros(samples, dtype=np.int64)
+        for bit, wire in enumerate(wires):
+            codes |= values[:, wire].astype(np.int64) << bit
+        outputs[port] = codes
+    if return_wires:
+        return outputs, values
+    return outputs
+
+
+def _seed_input_skews(netlist):
+    """Logic-depth spread between each gate's latest and earliest input."""
+    depths = np.zeros(netlist._wire_count, dtype=np.int64)
+    for gate in netlist.gates:
+        if gate.kind in _PSEUDO:
+            continue
+        depths[gate.output] = max((depths[w] for w in gate.inputs), default=0) + 1
+    skews = np.zeros(len(depths), dtype=np.float64)
+    for gate in netlist.gates:
+        if gate.kind in _PSEUDO or not gate.inputs:
+            continue
+        input_depths = [depths[w] for w in gate.inputs]
+        skews[gate.output] = float(max(input_depths) - min(input_depths))
+    return skews
+
+
+def seed_monte_carlo_estimate(estimator, netlist, stimulus=None):
+    """``estimator.estimate(netlist, stimulus)`` from the int8 wire matrix:
+    toggles are ``|diff|`` down each column, energies a per-gate loop."""
+    if stimulus is None:
+        stimulus = estimator._random_stimulus(netlist)
+    _, wire_values = seed_netlist_evaluate(netlist, stimulus, return_wires=True)
+    toggles = np.abs(np.diff(wire_values.astype(np.int8), axis=0)).sum(axis=0)
+    cycles = wire_values.shape[0] - 1
+    activity = toggles.astype(np.float64) / max(cycles, 1)
+
+    skews = _seed_input_skews(netlist)
+    tech = netlist.technology
+
+    dynamic_fj_per_cycle = 0.0
+    for gate in netlist.gates:
+        if gate.kind in _PSEUDO:
+            continue
+        glitch = 1.0 + estimator.glitch_factor * skews[gate.output]
+        dynamic_fj_per_cycle += (activity[gate.output] * glitch
+                                 * tech.switch_energy(gate.kind))
+
+    register_fj_per_cycle = netlist.register_bits * tech.switch_energy(GateKind.DFF) \
+        * (_DFF_CLOCK_FRACTION + _DFF_DATA_ACTIVITY * 0.5)
+    leakage_nw = 0.0
+    for gate in netlist.gates:
+        leakage_nw += tech.leakage(gate.kind)
+    leakage_nw += netlist.register_bits * tech.leakage(GateKind.DFF)
+
+    frequency = estimator.frequency_hz
+    return PowerBreakdown(dynamic_mw=dynamic_fj_per_cycle * 1e-15 * frequency * 1e3,
+                          leakage_mw=leakage_nw * 1e-6,
+                          register_mw=register_fj_per_cycle * 1e-15 * frequency * 1e3)

@@ -1,11 +1,9 @@
-"""Tests for the power estimators, characterisation flow and calibration."""
-import numpy as np
+"""Tests for the power estimator, characterisation flow and calibration."""
 import pytest
 
 from repro.hardware import (
     MonteCarloPowerEstimator,
     PAPER_REFERENCES,
-    ProbabilisticPowerEstimator,
     characterize_hardware,
     get_calibration,
     ripple_carry_adder,
@@ -39,25 +37,11 @@ class TestPowerEstimators:
         estimator = MonteCarloPowerEstimator(samples=300)
         assert estimator.estimate(big).total_mw > estimator.estimate(small).total_mw
 
-    def test_probabilistic_agrees_with_monte_carlo_within_factor(self):
-        netlist = ripple_carry_adder(16)
-        mc = MonteCarloPowerEstimator(samples=600).estimate(netlist).dynamic_mw
-        prob = ProbabilisticPowerEstimator().estimate(netlist).dynamic_mw
-        assert 0.3 < prob / mc < 3.0
-
-    def test_signal_probabilities_are_valid(self):
-        netlist = ripple_carry_adder(8)
-        probabilities = ProbabilisticPowerEstimator().signal_probabilities(netlist)
-        assert np.all(probabilities >= 0.0)
-        assert np.all(probabilities <= 1.0)
-
     def test_estimator_validation(self):
         with pytest.raises(ValueError):
             MonteCarloPowerEstimator(frequency_hz=0)
         with pytest.raises(ValueError):
             MonteCarloPowerEstimator(samples=1)
-        with pytest.raises(ValueError):
-            ProbabilisticPowerEstimator(input_probability=0.0)
 
 
 class TestCharacterization:

@@ -85,6 +85,31 @@ class TestResultStore(object):
         assert store.save("sweep", {"x": 6}, {"payload": object()}) is None
         assert store.entry_count() == 0
 
+    def test_each_load_and_save_canonicalises_the_key_once(self, tmp_path,
+                                                          monkeypatch):
+        import repro.core.store as store_module
+
+        real = store_module.canonical_key
+        depth = [0]
+        top_level_calls = []
+
+        def counting(value):
+            if depth[0] == 0:
+                top_level_calls.append(value)
+            depth[0] += 1
+            try:
+                return real(value)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(store_module, "canonical_key", counting)
+        store = ResultStore(tmp_path)
+        key = {"operator": "ADDt(16,10)", "grid": np.arange(4)}
+        store.save("sweep", key, {"metrics": {}})
+        assert len(top_level_calls) == 1
+        assert store.load("sweep", key) == {"metrics": {}}
+        assert len(top_level_calls) == 2
+
 
 class TestHardwareReportRoundTrip(object):
     def test_round_trip(self):
