@@ -19,7 +19,7 @@ divided by the warm server p50.  A long-lived server must answer a warm
 query at least ``warm_advantage_floor`` (5x) faster than a cold one-shot
 process — ``--check`` reads the recorded floor from the baseline JSON
 (``--baseline``, defaulting to the output path before it is overwritten)
-and exits non-zero below it, exactly like ``perf_bench.py --check``.
+and exits non-zero below it.
 
 Run against a self-booted in-process server (the default)::
 

@@ -352,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate a self-contained HTML dashboard (inline SVG, "
                     "no scripts) from a merged run directory plus the "
                     "committed BENCH_*.json history: per-app "
-                    "quality-versus-energy Pareto fronts and the perf/serve "
-                    "benchmark trajectories.")
+                    "quality-versus-energy Pareto fronts and the "
+                    "evaluation-server benchmark trajectory.")
     report.add_argument("bundle", metavar="RUN_DIR",
                         help="merged run directory (from 'run --out', "
                              "'merge --out' or 'fleet harvest --out')")

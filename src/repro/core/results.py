@@ -3,8 +3,8 @@
 APXPERF stores its fused hardware + functional results as MAT files and
 ships MATLAB scripts to browse them; here the equivalent is a JSON document
 per experiment plus plain-text table rendering that mirrors the layout of the
-paper's tables, so a run of the benchmark harness can be compared line by
-line with the publication.
+paper's tables, so a reproduced table can be compared line by line with
+the publication.
 """
 from __future__ import annotations
 

@@ -102,8 +102,8 @@ class ResultStore:
     One record per ``(kind, key)`` pair, laid out as
     ``<directory>/<kind>/<digest>.json``.  ``kind`` partitions the namespace
     (``"hardware"`` for operator characterisations, ``"sweep"`` for workload
-    sweep records, ``"result"`` for whole experiment results) so a cache of
-    one kind can be inspected or purged without touching the others.
+    sweep records) so a cache of one kind can be inspected or purged
+    without touching the other.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:

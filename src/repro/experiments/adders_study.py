@@ -52,8 +52,8 @@ def default_figure_sweep(input_width: int = 16,
                          reduced: bool = False) -> List[Operator]:
     """The adder configurations plotted in Figures 3 and 4.
 
-    ``reduced=True`` keeps a representative subset (used by the quick
-    benchmark harness); the full sweep mirrors the paper.
+    ``reduced=True`` keeps a representative subset (used by
+    ``repro run --reduced``); the full sweep mirrors the paper.
     """
     if reduced:
         operators: List[Operator] = []

@@ -36,8 +36,8 @@ def jpeg_design_space(input_width: int = 16,
                       reduced: bool = False) -> DesignSpace:
     """The Figure 6 design space: sized and approximate adder axes joined.
 
-    The reduced configuration keeps the representative subset the quick
-    benchmark harness always used (slightly thinner than the FFT study's).
+    The reduced configuration keeps a representative subset (slightly
+    thinner than the FFT study's).
     """
     if not reduced:
         return joint_adder_space(input_width)

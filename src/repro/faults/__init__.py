@@ -19,7 +19,7 @@ consult sequence, so a chaos failure reproduces exactly.
   workers).
 
 With no plan active every fault point is a global load plus an
-``is None`` check; ``perf_bench --check`` floors hold unchanged.
+``is None`` check, so the ``perfbench/`` workloads run unchanged.
 """
 from .inject import (
     ENV_FAULT_PLAN,

@@ -3,8 +3,8 @@
 ``repro report`` renders a self-contained dashboard (inline CSS and SVG,
 no scripts, no external fetches) from a merged run directory and the
 committed ``BENCH_*.json`` history: per-app quality-versus-energy Pareto
-fronts, the table experiments, and the perf/serve benchmark
-trajectories.  CI publishes it as an artifact on the merge path, so
+fronts, the table experiments, and the evaluation-server benchmark
+trajectory.  CI publishes it as an artifact on the merge path, so
 every merge shows the frontier.
 
 The model/render split lives in :mod:`repro.report.model` (what the
@@ -54,7 +54,6 @@ def generate_report(bundle_dir: Union[str, Path],
         "fronts": model["summary"]["fronts"],
         "front_points": model["summary"]["front_points"],
         "bench": {
-            "perf": bench["perf"]["path"] if bench["perf"] else None,
             "serve": bench["serve"]["path"] if bench["serve"] else None,
             "skipped": bench["skipped"],
         },

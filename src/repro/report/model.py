@@ -21,7 +21,7 @@ Model shape::
             "points": [{"cost", "quality", "label"}],     # the front
             "cloud":  [{"cost", "quality", "label"}]}]},  # every row
       ],
-      "bench": {"perf": {...}|None, "serve": {...}|None},
+      "bench": {"serve": {...}|None, "skipped": [path, ...]},
       "resilience": {"reclaims", "worker_errors",
                      "conflicts", "quarantined"}|None,
     }
@@ -104,24 +104,21 @@ def _read_bench(path: Union[str, Path]) -> Optional[Dict[str, object]]:
 
 
 def bench_model(paths: Sequence[Union[str, Path]]) -> Dict[str, object]:
-    """Classify committed bench documents into perf / serve trajectories.
+    """Pick the serve-bench trajectory out of the committed bench documents.
 
-    Missing or malformed files are reported, not fatal — the dashboard
-    renders from whatever history exists.
+    Missing, malformed or non-serve files are reported, not fatal — the
+    dashboard renders from whatever history exists.
     """
-    perf = serve = None
+    serve = None
     skipped: List[str] = []
     for path in paths:
         document = _read_bench(path)
-        if document is None:
-            skipped.append(str(path))
-            continue
-        script = str(document.get("script", ""))
-        if "serve" in script or "warm_advantage" in document:
+        if document is not None and ("serve" in str(document.get("script", ""))
+                                     or "warm_advantage" in document):
             serve = {"path": str(path), **document}
         else:
-            perf = {"path": str(path), **document}
-    return {"perf": perf, "serve": serve, "skipped": skipped}
+            skipped.append(str(path))
+    return {"serve": serve, "skipped": skipped}
 
 
 def resilience_model(bundle_dir: Union[str, Path]

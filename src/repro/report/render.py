@@ -218,21 +218,6 @@ def _tiles(entries: Sequence[Tuple[str, object]]) -> str:
     return f"<div class='tiles'>{''.join(tiles)}</div>"
 
 
-def _perf_section(perf: Optional[Dict[str, object]]) -> str:
-    search = perf.get("search") if perf else None
-    if not isinstance(search, dict):
-        return "<p class='legend'>no committed perf history</p>"
-    version = _fmt(perf.get("repro_version", "?"))
-    return (f"<p class='legend'>from {_fmt(perf.get('path', '?'))} "
-            f"(repro {version})</p>" + _tiles([
-                ("search ÷ exhaustive evaluation advantage",
-                 search.get("eval_advantage")),
-                ("search recall", search.get("recall")),
-                ("search (s)", search.get("search_s")),
-                ("exhaustive sweep (s)", search.get("exhaustive_s")),
-            ]))
-
-
 def _serve_section(serve: Optional[Dict[str, object]]) -> str:
     if not serve:
         return "<p class='legend'>no committed serve history</p>"
@@ -319,14 +304,12 @@ def render_dashboard(model: Dict[str, object]) -> str:
             ("worker errors", resilience.get("worker_errors", 0)),
             ("absorb conflicts", resilience.get("conflicts", 0)),
             ("quarantined records", resilience.get("quarantined", 0))]))
-    parts.append("<h2>Performance trajectory</h2>")
-    parts.append(_perf_section(model["bench"].get("perf")))
     parts.append("<h2>Evaluation-server trajectory</h2>")
     parts.append(_serve_section(model["bench"].get("serve")))
     skipped = model["bench"].get("skipped") or []
     if skipped:
-        parts.append(f"<p class='legend'>unreadable bench inputs skipped: "
-                     f"{_fmt(', '.join(skipped))}</p>")
+        parts.append(f"<p class='legend'>bench inputs skipped (unreadable "
+                     f"or not a serve record): {_fmt(', '.join(skipped))}</p>")
     parts.append("<footer>Self-contained static dashboard — "
                  "generated by <code>repro report</code>; "
                  "no scripts, no external requests.</footer>")

@@ -412,15 +412,14 @@ def test_report_reads_named_bench_history(capsys, tmp_path):
     status, _, _ = run_cli(capsys, "run", EXPERIMENTS[0],
                            "--out", str(out))
     assert status == 0
-    bench = tmp_path / "BENCH_perf.json"
-    bench.write_text(json.dumps({"script": "benchmarks/perf.py",
-                                 "studies": {}}))
+    bench = tmp_path / "BENCH_serve.json"
+    bench.write_text(json.dumps({"script": "benchmarks/serve_bench.py",
+                                 "warm_advantage": 10.0}))
     status, document, _ = run_cli(
         capsys, "report", str(out), "--bench", str(bench),
         "--output", str(tmp_path / "report.html"))
     assert status == 0
-    assert document["bench"]["perf"] == str(bench)
-    assert document["bench"]["serve"] is None
+    assert document["bench"] == {"serve": str(bench), "skipped": []}
 
 
 # --------------------------------------------------------------------------- #

@@ -10,6 +10,9 @@ import pytest
 
 from repro.experiments import (
     adder_error_cost_study,
+    default_figure_sweep,
+    default_fft_adder_sweep,
+    default_jpeg_adder_sweep,
     fft_adder_sweep,
     fft_multiplier_comparison,
     hevc_adder_table,
@@ -21,6 +24,7 @@ from repro.experiments import (
     multiplier_comparison,
     rounding_mode_ablation,
 )
+from repro.experiments.adders_study import _group_name
 from repro.operators import (
     ACAAdder,
     ETAIVAdder,
@@ -47,6 +51,14 @@ def table1():
 
 
 class TestFigure3And4(object):
+    def test_reduced_sweep_covers_every_group(self):
+        """The reduced run plots every legend group of Figs. 3 and 4."""
+        operators = default_figure_sweep(reduced=True)
+        assert len(operators) >= 15
+        assert {_group_name(operator) for operator in operators} >= {
+            "Fxp add. - trunc.", "Fxp add. - round.", "ACA", "ETAIV",
+            "RCAApx"}
+
     def test_columns_present(self, adder_study):
         for column in ("operator", "mse_db", "ber", "power_mw", "delay_ns",
                        "pdp_pj", "area_um2"):
@@ -130,6 +142,11 @@ class TestTable1(object):
 
 
 class TestFftExperiments(object):
+    def test_figure5_reduced_space(self):
+        adders = default_fft_adder_sweep(reduced=True)
+        assert len(adders) >= 10
+        assert any(adder.name.startswith("ADDt") for adder in adders)
+
     def test_figure5_fxp_dominates_at_equal_psnr(self):
         adders = [TruncatedAdder(16, k) for k in (13, 11, 9)] \
             + [ACAAdder(16, 10), ETAIVAdder(16, 4), RCAApxAdder(16, 6, 1)]
@@ -155,10 +172,21 @@ class TestFftExperiments(object):
 
 
 class TestJpegExperiment(object):
-    def test_figure6_fxp_dominates(self, small_image):
+    @pytest.fixture(scope="class")
+    def figure6(self, small_image):
         adders = [TruncatedAdder(16, k) for k in (14, 12, 10)] \
             + [ETAIVAdder(16, 8), RCAApxAdder(16, 6, 1)]
-        result = jpeg_adder_sweep(image=small_image, adders=adders)
+        return jpeg_adder_sweep(image=small_image, adders=adders)
+
+    def test_figure6_reduced_space(self):
+        assert len(default_jpeg_adder_sweep(reduced=True)) >= 8
+
+    def test_figure6_best_fxp_mssim(self, figure6):
+        fxp = [r for r in figure6.rows if r["adder"].startswith("ADDt")]
+        assert max(r["mssim"] for r in fxp) > 0.95
+
+    def test_figure6_fxp_dominates(self, figure6):
+        result = figure6
         fxp_good = [r for r in result.rows
                     if r["adder"].startswith("ADDt") and r["mssim"] > 0.9]
         assert fxp_good, "no FxP configuration reaches MSSIM 0.9"
@@ -229,12 +257,18 @@ class TestAblations(object):
         assert rows["ABM exact conversion"]["mse_db"] \
             < rows["ABM compensated"]["mse_db"] - 40.0
 
-    def test_rounding_mode_ablation(self):
-        result = rounding_mode_ablation(output_widths=(12, 8),
-                                        error_samples=15_000,
-                                        hardware_samples=300)
-        for width in (12, 8):
-            rows = [r for r in result.rows if r["output_width"] == width]
+    @pytest.fixture(scope="class")
+    def rounding_ablation(self):
+        return rounding_mode_ablation(error_samples=15_000,
+                                      hardware_samples=300)
+
+    def test_rounding_mode_ablation_default_widths(self, rounding_ablation):
+        assert len(rounding_ablation.rows) == 15  # 3 modes at each default width
+
+    def test_rounding_mode_ablation(self, rounding_ablation):
+        for width in (14, 12, 10, 8, 6):
+            rows = [r for r in rounding_ablation.rows
+                    if r["output_width"] == width]
             by_mode = {r["mode"]: r for r in rows}
             assert by_mode["round"]["mse_db"] < by_mode["truncate"]["mse_db"]
             assert abs(by_mode["round-to-even"]["bias"]) \

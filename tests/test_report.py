@@ -49,25 +49,24 @@ class TestModel(object):
         assert all(p["label"] for p in front["points"])
 
     def test_bench_model_classifies_and_reports_skips(self, tmp_path):
-        perf = tmp_path / "BENCH_perf.json"
-        perf.write_text(json.dumps({"script": "benchmarks/perf.py",
-                                    "studies": {}}))
+        other = tmp_path / "BENCH_other.json"
+        other.write_text(json.dumps({"script": "benchmarks/other.py",
+                                     "studies": {}}))
         serve = tmp_path / "BENCH_serve.json"
         serve.write_text(json.dumps({"script": "benchmarks/serve_bench.py",
                                      "warm_advantage": 10.0}))
         garbage = tmp_path / "BENCH_broken.json"
         garbage.write_text("{not json")
-        model = bench_model([perf, serve, garbage, tmp_path / "missing.json"])
-        assert model["perf"]["script"] == "benchmarks/perf.py"
+        model = bench_model([other, serve, garbage, tmp_path / "missing.json"])
         assert model["serve"]["warm_advantage"] == 10.0
-        assert model["skipped"] == [str(garbage), str(tmp_path / "missing.json")]
+        assert model["skipped"] == [str(other), str(garbage),
+                                    str(tmp_path / "missing.json")]
 
 
 class TestRender(object):
     def test_dashboard_is_self_contained_html(self, bundle_dir, tmp_path):
-        bench = [REPO / "BENCH_perf.json", REPO / "BENCH_serve.json"]
-        bench = [path for path in bench if path.is_file()]
-        document = generate_report(bundle_dir, bench_paths=bench,
+        document = generate_report(bundle_dir,
+                                   bench_paths=[REPO / "BENCH_serve.json"],
                                    output=tmp_path / "report.html",
                                    generated="2026-01-01 00:00 UTC")
         text = (tmp_path / "report.html").read_text()
@@ -92,33 +91,16 @@ class TestRender(object):
 
     def test_bench_sections_render_when_history_exists(self, bundle_dir,
                                                        tmp_path):
-        perf = REPO / "BENCH_perf.json"
-        serve = REPO / "BENCH_serve.json"
-        if not (perf.is_file() and serve.is_file()):
-            pytest.skip("committed bench history not present")
-        generate_report(bundle_dir, bench_paths=[perf, serve],
+        generate_report(bundle_dir, bench_paths=[REPO / "BENCH_serve.json"],
                         output=tmp_path / "report.html")
         text = (tmp_path / "report.html").read_text()
-        assert "search recall" in text  # the perf search tiles
-        assert "search ÷ exhaustive evaluation advantage" in text
-        assert "warm" in text  # the serve tiles
-
-    def test_search_tiles_render_without_studies(self, bundle_dir, tmp_path):
-        perf = tmp_path / "BENCH_perf.json"
-        perf.write_text(json.dumps({"script": "benchmarks/perf_bench.py",
-                                    "search": {"eval_advantage": 3.27,
-                                               "recall": 1.0}}))
-        generate_report(bundle_dir, bench_paths=[perf],
-                        output=tmp_path / "report.html")
-        text = (tmp_path / "report.html").read_text()
-        assert "search recall" in text
-        assert "no committed perf history" not in text
+        assert "warm ÷ cold-process advantage" in text  # the serve tiles
+        assert "no committed serve history" not in text
 
     def test_render_without_bench_history(self, bundle_dir, tmp_path):
         document = generate_report(bundle_dir, bench_paths=[],
                                    output=tmp_path / "report.html")
-        assert document["bench"] == {"perf": None, "serve": None,
-                                     "skipped": []}
+        assert document["bench"] == {"serve": None, "skipped": []}
         assert (tmp_path / "report.html").is_file()
 
     def test_empty_bundle_raises(self, tmp_path):
