@@ -154,10 +154,8 @@ class Apxperf:
         resolved = [self._resolve(op) for op in operators]
         if workers <= 1 or len(resolved) <= 1:
             return [self.characterize(op, verify=verify) for op in resolved]
-        try:
-            from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-        except ImportError:
-            return [self.characterize(op, verify=verify) for op in resolved]
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
         tasks = [(self, op, verify) for op in resolved]
         try:
             with ProcessPoolExecutor(

@@ -216,24 +216,6 @@ class DesignSpace:
         """Points of one axis only (e.g. ``"sized"``)."""
         return DesignSpace(p for p in self._points if p.axis == axis)
 
-    def shard(self, index: int, count: int) -> "DesignSpace":
-        """Deterministic round-robin shard of the ordered point list.
-
-        Point ``j`` of the de-duplicated, composition-ordered list belongs
-        to shard ``index`` iff ``j % count == index``, so for any ``count``
-        the shards are pairwise disjoint, their union is the whole space in
-        order, and the partition is stable across runs and machines —
-        exactly the contract a fan-out/fan-in execution (one machine per
-        shard, merged afterwards) needs.  Composition and dedup happen
-        *before* sharding, so ``(a + b).shard(i, n)`` is well-defined even
-        when ``a`` and ``b`` overlap.
-        """
-        from .study import parse_shard
-
-        index, count = parse_shard((index, count))
-        return DesignSpace(point for j, point in enumerate(self._points)
-                           if j % count == index)
-
     # ------------------------------------------------------------------ #
     # Access
     # ------------------------------------------------------------------ #

@@ -1,14 +1,14 @@
-"""Design-space sweeps and Pareto analysis.
+"""Operator sweeps: the configuration sets the paper characterises.
 
 These helpers generate exactly the operator configuration sets swept in the
 paper — truncated/rounded adders from 15 down to 2 output bits, every ACA
 prediction depth, every ETAIV block size, every RCAApx (accurate-bits, cell
-type) pair — and extract accuracy-versus-cost Pareto fronts from the
-resulting characterisations.
+type) pair — plus Table I's multiplier set.  Pareto fronts over the
+resulting rows are :class:`~repro.core.results.ParetoFront`'s job.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Sequence
 
 from ..operators.adders import (
     ACAAdder,
@@ -22,7 +22,6 @@ from ..operators.base import Operator
 from ..operators.multipliers import (
     AAMMultiplier,
     ABMMultiplier,
-    RoundedMultiplier,
     TruncatedMultiplier,
 )
 
@@ -121,56 +120,3 @@ def default_multiplier_set(input_width: int = 16) -> List[Operator]:
         AAMMultiplier(input_width),
         ABMMultiplier(input_width),
     ]
-
-
-def sweep_truncated_multipliers(input_width: int = 16,
-                                output_widths: Sequence[int] | None = None
-                                ) -> List[Operator]:
-    """``MULt(N, k)`` over output widths (2 to 2N as in the paper's sweep)."""
-    if output_widths is None:
-        output_widths = range(2, 2 * input_width + 1, 2)
-    return [TruncatedMultiplier(input_width, k) for k in output_widths]
-
-
-def sweep_rounded_multipliers(input_width: int = 16,
-                              output_widths: Sequence[int] | None = None
-                              ) -> List[Operator]:
-    """``MULr(N, k)`` over output widths."""
-    if output_widths is None:
-        output_widths = range(2, 2 * input_width + 1, 2)
-    return [RoundedMultiplier(input_width, k) for k in output_widths]
-
-
-# --------------------------------------------------------------------------- #
-# Pareto analysis
-# --------------------------------------------------------------------------- #
-def pareto_front(points: Iterable[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    """Two-objective Pareto front assuming both objectives are minimised."""
-    items = sorted(points)
-    front: List[Tuple[float, float]] = []
-    best_second = float("inf")
-    for first, second in items:
-        if second < best_second:
-            front.append((first, second))
-            best_second = second
-    return front
-
-
-def pareto_filter(records: Sequence[object],
-                  objectives: Tuple[Callable[[object], float],
-                                    Callable[[object], float]]) -> List[object]:
-    """Keep only the records lying on the (min, min) Pareto front."""
-    first, second = objectives
-    decorated = sorted(records, key=lambda r: (first(r), second(r)))
-    front: List[object] = []
-    best_second = float("inf")
-    for record in decorated:
-        if second(record) < best_second:
-            front.append(record)
-            best_second = second(record)
-    return front
-
-
-def dominates(a: Tuple[float, float], b: Tuple[float, float]) -> bool:
-    """Whether point ``a`` Pareto-dominates point ``b`` (both minimised)."""
-    return (a[0] <= b[0] and a[1] <= b[1]) and (a[0] < b[0] or a[1] < b[1])

@@ -1,8 +1,9 @@
 """Fluent ``Study`` pipeline: the single entry point for every experiment.
 
-A study binds one :class:`~repro.workloads.base.Workload` to an operator
-sweep, charges every sweep point with the datapath energy of Equation 1
-through one *shared* hardware-characterisation cache, and emits a tidy
+A study binds one :class:`~repro.workloads.base.Workload` to a sweep of
+:class:`~repro.core.designspace.DesignPoint` s, charges every sweep point with
+the datapath energy of Equation 1 through one *shared*
+hardware-characterisation cache, and emits a tidy
 :class:`~repro.core.results.ExperimentResult` /
 :class:`~repro.core.results.ResultBundle`::
 
@@ -13,6 +14,13 @@ through one *shared* hardware-characterisation cache, and emits a tidy
               .energy(DatapathEnergyModel())
               .seed(7)
               .run(workers=4))
+
+Every sweep is a list of design points.  :meth:`Study.design_space` takes
+them as built; :meth:`Study.adders`, :meth:`Study.multipliers` and
+:meth:`Study.operators` build one point per operator (or spec string) with
+the paper's pairing: an adder is charged with the minimal exact multiplier
+its emitted width allows, a multiplier with the exact adder of its operand
+width.
 
 Execution is deterministic: the stimulus seed fixes every workload input, the
 functional simulations of the sweep points are independent (and therefore
@@ -37,13 +45,8 @@ from ..operators.base import AdderOperator, MultiplierOperator, Operator
 from ..workloads.base import OperatorMap, Workload, WorkloadResult
 from ..workloads.registry import parse_workload
 from .backends import BackendLike, backend_spec
-from .datapath import (
-    DatapathEnergyBreakdown,
-    DatapathEnergyModel,
-    OperationCounts,
-    minimal_multiplier_for,
-)
-from .designspace import DesignPoint, DesignSpace
+from .datapath import DatapathEnergyBreakdown, DatapathEnergyModel, OperationCounts
+from .designspace import DesignPoint, DesignSpace, adder_point, multiplier_point
 from .registry import parse_operator
 from .results import ExperimentResult, ParetoFront, ResultBundle
 from .store import ResultStore, StoreLike
@@ -53,14 +56,16 @@ from .store import ResultStore, StoreLike
 class SweepOutcome:
     """Everything one sweep point produced; handed to the row builder.
 
-    ``swept`` is the operator under test.  ``adder`` / ``multiplier`` are the
-    operators the energy model charged (for an adder sweep, ``multiplier`` is
-    the energy-pairing partner, e.g. the minimal exact multiplier the adder's
-    emitted data width allows).
+    ``point`` is the design point behind the outcome and ``swept`` its
+    operator under test.  ``adder`` / ``multiplier`` are the operators the
+    energy model charged (for an adder point, ``multiplier`` is the
+    energy-pairing partner, e.g. the minimal exact multiplier the adder's
+    emitted data width allows); both are ``None`` for a bare-operator point.
     """
 
     index: int
     workload: str
+    point: DesignPoint
     swept: Operator
     adder: Optional[AdderOperator]
     multiplier: Optional[MultiplierOperator]
@@ -69,18 +74,31 @@ class SweepOutcome:
     details: Dict[str, object] = field(default_factory=dict)
     energy: Optional[DatapathEnergyBreakdown] = None
     energy_model: Optional[DatapathEnergyModel] = None
-    #: Design point behind this outcome (design-space sweeps only).
-    point: Optional[DesignPoint] = None
 
 
 RowBuilder = Callable[[SweepOutcome], Dict[str, object]]
-OperatorLike = Union[Operator, str, DesignPoint]
+OperatorLike = Union[Operator, str]
 
 
-def _resolve_operator(operator: OperatorLike) -> Operator:
-    if isinstance(operator, str):
-        return parse_operator(operator)
-    return operator
+def _operator_point(operator: OperatorLike, role: str) -> DesignPoint:
+    """One ``adders``/``multipliers``/``operators`` entry as a design point.
+
+    ``role`` ``"operator"`` takes the role from the operator's type.  An
+    adder pairs with the minimal exact multiplier its emitted width allows,
+    a multiplier with the exact adder of its operand width.
+    """
+    swept = parse_operator(operator) if isinstance(operator, str) else operator
+    if role == "operator":
+        role = "adder" if isinstance(swept, AdderOperator) else "multiplier"
+    if role == "adder":
+        if not isinstance(swept, AdderOperator):
+            raise TypeError(f"{swept.name} is not an adder; it cannot be "
+                            f"swept on the adder axis")
+        return adder_point(swept)
+    if not isinstance(swept, MultiplierOperator):
+        raise TypeError(f"{swept.name} is not a multiplier; it cannot be "
+                        f"swept on the multiplier axis")
+    return multiplier_point(swept, adder=ExactAdder(swept.input_width))
 
 
 def _execute_point(task: Tuple[Workload, OperatorMap, Dict[str, object], int]
@@ -147,7 +165,7 @@ def parse_shard(shard: ShardLike) -> Optional[Tuple[int, int]]:
 
 
 class Study:
-    """Chainable builder for one workload-versus-operator-sweep experiment.
+    """Chainable builder for one workload-versus-design-point-sweep experiment.
 
     The builder methods each return ``self``; :meth:`run` executes the sweep
     and returns an :class:`ExperimentResult` (:meth:`run_bundle` wraps it in
@@ -159,10 +177,8 @@ class Study:
     def __init__(self) -> None:
         self._workload: Optional[Workload] = None
         self._config: Dict[str, object] = {}
-        self._operators: List[OperatorLike] = []
+        self._points: List[DesignPoint] = []
         self._axis: str = "operator"
-        self._pair: Optional[OperatorLike] = None
-        self._pair_injected = False
         self._backend: BackendLike = "direct"
         self._energy_model: Optional[DatapathEnergyModel] = None
         self._seed: Optional[int] = None
@@ -197,21 +213,29 @@ class Study:
         return self
 
     def adders(self, operators: Iterable[OperatorLike]) -> "Study":
-        """Sweep the adder slot; multiplications are charged to the pair."""
-        self._operators = list(operators)
-        self._axis = "adder"
-        return self
+        """Sweep the adder slot; multiplications are charged to the pair.
+
+        One design point per entry, duplicates kept; each adder is charged
+        with the minimal exact multiplier its emitted width allows.
+        """
+        return self._sweep("adder", operators)
 
     def multipliers(self, operators: Iterable[OperatorLike]) -> "Study":
-        """Sweep the multiplier slot; additions are charged to the pair."""
-        self._operators = list(operators)
-        self._axis = "multiplier"
-        return self
+        """Sweep the multiplier slot; additions are charged to the pair.
+
+        One design point per entry, duplicates kept; each multiplier is
+        charged with the exact adder of its operand width.
+        """
+        return self._sweep("multiplier", operators)
 
     def operators(self, operators: Iterable[OperatorLike]) -> "Study":
-        """Sweep bare operators (operator-level characterisation studies)."""
-        self._operators = list(operators)
-        self._axis = "operator"
+        """Sweep adders and multipliers mixed, each on its own type's slot."""
+        return self._sweep("operator", operators)
+
+    def _sweep(self, axis: str, operators: Iterable[OperatorLike]) -> "Study":
+        self._points = [_operator_point(operator, axis)
+                        for operator in operators]
+        self._axis = axis
         return self
 
     def design_space(self, space: Union[DesignSpace, Iterable[DesignPoint]]
@@ -224,7 +248,7 @@ class Study:
         single sweep can mix functionally approximate operators and
         word-length-sized exact datapaths — the paper's joint comparison.
         """
-        self._operators = list(DesignSpace.of(space))
+        self._points = list(DesignSpace.of(space))
         self._axis = "design"
         return self
 
@@ -246,13 +270,16 @@ class Study:
         """Persist and reuse sweep records through a disk-backed store.
 
         Accepts a :class:`~repro.core.store.ResultStore` or a directory
-        path.  Sweep points whose exact computation (workload, merged
-        configuration, operators, seed, repro version) was recorded in an
-        earlier session are served from disk and skip their functional
-        simulation; fresh points are written back.  The backend is not part
-        of the key: backends must be bit-identical, so they share records.
-        The store is also offered to the energy model (if it has none yet),
-        so hardware characterisations persist alongside.
+        path.  Sweep points whose exact computation (workload, configuration
+        merged with the point's own overrides, the operators the simulation
+        runs with, seed, repro version) was recorded in an earlier session
+        are served from disk and skip their functional simulation; fresh
+        points are written back.  Neither the backend nor a charged-only
+        partner is part of the key: backends must be bit-identical, and the
+        energy is charged after the simulation, so points differing only in
+        either share a record.  The store is also offered to the energy
+        model (if it has none yet), so hardware characterisations persist
+        alongside.
         """
         self._store = ResultStore.of(store)
         return self
@@ -280,19 +307,6 @@ class Study:
         if count is not None:
             shard = (int(shard), int(count))  # type: ignore[arg-type]
         self._shard = parse_shard(shard)  # type: ignore[arg-type]
-        return self
-
-    def pair_with(self, operator: OperatorLike,
-                  inject: bool = False) -> "Study":
-        """Fix the energy-pairing partner of every sweep point.
-
-        By default the partner only enters the energy accounting (the paper's
-        convention: an adder sweep still simulates with the exact multiplier
-        but is charged for the data-sized one).  ``inject=True`` also feeds
-        the partner into the functional simulation.
-        """
-        self._pair = operator
-        self._pair_injected = inject
         return self
 
     def backend(self, backend: BackendLike) -> "Study":
@@ -357,11 +371,6 @@ class Study:
         workers = resolve_workers(workers)
         if self._workload is None:
             raise ValueError("no workload selected; call .workload(...) first")
-        if self._pair is not None and self._axis == "design":
-            raise ValueError(
-                "pair_with() does not apply to a design-space sweep: every "
-                "DesignPoint already carries its own operator pairing — set "
-                "the partner (and inject_pair) on the points instead")
         workload = self._workload
         config, seed = self._merged_config(workload)
         # Offer this study's store to a store-less energy model for the
@@ -392,12 +401,12 @@ class Study:
 
     def _resolved_tasks(self, workload: Workload, config: Dict[str, object],
                         seed: int):
-        """Resolve the sweep into ``(points, tasks)``.
+        """Resolve the sweep into ``(selected, tasks)``.
 
-        ``points`` covers the whole sweep; ``tasks`` pairs each *selected*
-        (shard-filtered) global index with its executable task tuple.
+        ``selected`` lists the shard-filtered global indices into the sweep's
+        points; ``tasks`` pairs each with its executable task tuple.
         """
-        points = [self._resolve_point(op) for op in self._operators]
+        points = self._points
         if self._shard is not None:
             shard_index, shard_count = self._shard
             selected = [index for index in range(len(points))
@@ -407,14 +416,15 @@ class Study:
         tasks: List[Tuple[int, Tuple[Workload, OperatorMap,
                                      Dict[str, object], int]]] = []
         for index in selected:
-            operator_map, _, _, design = points[index]
+            point = points[index]
             point_config = config
-            if design is not None and design.config:
+            if point.config:
                 point_config = workload.merged_config(
-                    {**self._config, **dict(design.config)})
+                    {**self._config, **dict(point.config)})
                 point_config["seed"] = seed
-            tasks.append((index, (workload, operator_map, point_config, seed)))
-        return points, selected, tasks
+            tasks.append((index, (workload, self._operator_map(point),
+                                  point_config, seed)))
+        return selected, tasks
 
     def point_keys(self) -> List[Dict[str, object]]:
         """Structural store keys of the resolved sweep points, in sweep order.
@@ -429,13 +439,14 @@ class Study:
             raise ValueError("no workload selected; call .workload(...) first")
         workload = self._workload
         config, seed = self._merged_config(workload)
-        _, _, tasks = self._resolved_tasks(workload, config, seed)
+        _, tasks = self._resolved_tasks(workload, config, seed)
         return [self._sweep_key(task) for _, task in tasks]
 
     def _run_resolved(self, workload: Workload, config: Dict[str, object],
                       seed: int, workers: int) -> ExperimentResult:
         """Execute the configured sweep (see :meth:`run`)."""
-        points, selected, tasks = self._resolved_tasks(workload, config, seed)
+        points = self._points
+        selected, tasks = self._resolved_tasks(workload, config, seed)
 
         front: Optional[ParetoFront] = None
         if self._pareto_axes is not None:
@@ -448,9 +459,13 @@ class Study:
         rows: Dict[int, Dict[str, object]] = {}
         store_hits = 0
         for index, outcome, fresh in self._outcomes(tasks, workers):
-            operator_map, adder, multiplier, design = points[index]
+            point = points[index]
             if not fresh:
                 store_hits += 1
+            # A bare-operator point has no datapath pairing to charge.
+            charged = point.role != "operator"
+            adder = point.adder if charged else None
+            multiplier = point.multiplier if charged else None
             energy = None
             if self._energy_model is not None and adder is not None:
                 energy = self._energy_model.application_energy_pj(
@@ -459,7 +474,8 @@ class Study:
             sweep_outcome = SweepOutcome(
                 index=index,
                 workload=workload.name,
-                swept=operator_map.swept,
+                point=point,
+                swept=point.swept,
                 adder=adder,
                 multiplier=multiplier,
                 metrics=dict(outcome.metrics),
@@ -467,7 +483,6 @@ class Study:
                 details=dict(outcome.details),
                 energy=energy,
                 energy_model=self._energy_model,
-                point=design,
             )
             row = build_row(sweep_outcome)
             rows[index] = row
@@ -538,69 +553,23 @@ class Study:
     # ------------------------------------------------------------------ #
     # Internals
     # ------------------------------------------------------------------ #
-    def _resolve_point(self, operator: OperatorLike
-                       ) -> Tuple[OperatorMap, Optional[AdderOperator],
-                                  Optional[MultiplierOperator],
-                                  Optional[DesignPoint]]:
-        """Swept operator -> (functional map, energy adder, energy multiplier,
-        design point)."""
-        if isinstance(operator, DesignPoint):
-            return self._resolve_design_point(operator)
-        swept = _resolve_operator(operator)
-        pair = _resolve_operator(self._pair) if self._pair is not None else None
-        axis = self._axis
-        if axis == "operator" and isinstance(swept, AdderOperator):
-            axis = "adder"
-        elif axis == "operator" and isinstance(swept, MultiplierOperator):
-            axis = "multiplier"
+    def _operator_map(self, point: DesignPoint) -> OperatorMap:
+        """The operators a design point's functional simulation runs with.
 
-        if axis == "adder":
-            if not isinstance(swept, AdderOperator):
-                raise TypeError(f"{swept.name} is not an adder; it cannot be "
-                                f"swept on the adder axis")
-            multiplier = pair if pair is not None else minimal_multiplier_for(swept)
-            functional = OperatorMap(
-                swept=swept, adder=swept,
-                multiplier=multiplier if self._pair_injected else None,
-                backend=self._backend)
-            return functional, swept, multiplier, None
-        if axis == "multiplier":
-            if not isinstance(swept, MultiplierOperator):
-                raise TypeError(f"{swept.name} is not a multiplier; it cannot "
-                                f"be swept on the multiplier axis")
-            adder = pair if pair is not None else ExactAdder(swept.input_width)
-            functional = OperatorMap(
-                swept=swept, multiplier=swept,
-                adder=adder if self._pair_injected else None,
-                backend=self._backend)
-            return functional, adder, swept, None
-        return OperatorMap(swept=swept, backend=self._backend), None, None, None
-
-    def _resolve_design_point(self, point: DesignPoint
-                              ) -> Tuple[OperatorMap, Optional[AdderOperator],
-                                         Optional[MultiplierOperator],
-                                         DesignPoint]:
-        """Design point -> functional map plus the charged operator pair.
-
-        The paper's convention carries over from the single-axis sweeps:
-        the operator under test enters the functional simulation, its
-        partner enters the energy accounting only (``inject_pair=True``
-        feeds the partner into the simulation too).
+        The paper's convention: the operator under test enters the
+        functional simulation, its partner enters the energy accounting
+        only (``inject_pair=True`` feeds the partner into the simulation
+        too).  A bare-operator point simulates the operator alone.
         """
-        if point.role == "adder":
-            functional = OperatorMap(
-                swept=point.adder, adder=point.adder,
-                multiplier=point.multiplier if point.inject_pair else None,
-                backend=self._backend)
-            return functional, point.adder, point.multiplier, point
-        if point.role == "multiplier":
-            functional = OperatorMap(
-                swept=point.multiplier, multiplier=point.multiplier,
-                adder=point.adder if point.inject_pair else None,
-                backend=self._backend)
-            return functional, point.adder, point.multiplier, point
-        return (OperatorMap(swept=point.swept, backend=self._backend),
-                None, None, point)
+        if point.role == "operator":
+            return OperatorMap(swept=point.swept, backend=self._backend)
+        inject = point.inject_pair
+        return OperatorMap(
+            swept=point.swept,
+            adder=point.adder if inject or point.role == "adder" else None,
+            multiplier=point.multiplier
+            if inject or point.role == "multiplier" else None,
+            backend=self._backend)
 
     # ------------------------------------------------------------------ #
     # Execution internals
@@ -670,19 +639,8 @@ class Study:
             for index, task in pending:
                 yield index, _execute_point(task)
             return
-        try:
-            from concurrent.futures import (
-                BrokenExecutor,
-                ProcessPoolExecutor,
-                as_completed,
-            )
-        except ImportError:
-            warnings.warn(
-                "concurrent.futures is unavailable; running the sweep "
-                "serially instead of with a process pool", RuntimeWarning)
-            for index, task in pending:
-                yield index, _execute_point(task)
-            return
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+
         done: set = set()
         try:
             with ProcessPoolExecutor(
@@ -708,19 +666,13 @@ class Study:
 def _default_row(outcome: SweepOutcome) -> Dict[str, object]:
     """Tidy default row: identities, metrics, counts and energy split.
 
-    Design-space outcomes additionally carry their point's frontier
-    metadata (axis label and emitted word length), so a joint
-    approximate-versus-sized sweep is Pareto-ready without a custom row
-    builder.
+    Every row carries its point's frontier metadata (design label, axis
+    label and emitted word length), so a joint approximate-versus-sized
+    sweep is Pareto-ready without a custom row builder.
     """
     row: Dict[str, object] = {"workload": outcome.workload,
                               "operator": outcome.swept.name}
-    if outcome.point is not None:
-        row.update(outcome.point.describe())
-    if outcome.adder is not None:
-        row["adder"] = outcome.adder.name
-    if outcome.multiplier is not None:
-        row["multiplier"] = outcome.multiplier.name
+    row.update(outcome.point.describe())
     row.update(outcome.metrics)
     row["additions"] = outcome.counts.additions
     row["multiplications"] = outcome.counts.multiplications

@@ -15,7 +15,7 @@ See :mod:`repro.fleet.queue` for the on-disk state machine,
 :mod:`repro.fleet.worker` for the claim/heartbeat/commit loop and
 :mod:`repro.fleet.coordinator` for plan/status/harvest.
 """
-from .coordinator import harvest, plan_queue, queue_status, wait_until_finished
+from .coordinator import harvest, plan_queue, queue_status
 from .queue import Lease, LeaseQueue, QueueError, default_owner
 from .worker import FleetWorker, QueueBusy
 
@@ -29,5 +29,4 @@ __all__ = [
     "harvest",
     "plan_queue",
     "queue_status",
-    "wait_until_finished",
 ]

@@ -18,9 +18,8 @@ subcommand:
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
-from typing import Callable, Dict, Optional, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..core.store import ResultStore, StoreLike
 from .queue import LeaseQueue
@@ -60,24 +59,6 @@ def queue_status(directory: Union[str, Path],
     status = queue.status()
     status["reclaimed_now"] = reclaimed_now
     return status
-
-
-def wait_until_finished(directory: Union[str, Path],
-                        timeout_s: float = 600.0, poll_s: float = 0.5,
-                        sleep: Callable[[float], None] = time.sleep
-                        ) -> Dict[str, object]:
-    """Block (reclaiming as it watches) until every task is terminal."""
-    deadline = time.monotonic() + timeout_s
-    while True:
-        status = queue_status(directory, reclaim=True)
-        if status["finished"]:
-            return status
-        if time.monotonic() >= deadline:
-            raise TimeoutError(
-                f"fleet queue {directory} still has "
-                f"{status['pending'] + status['leased']} live task(s) "
-                f"after {timeout_s}s")
-        sleep(poll_s)
 
 
 def harvest(directory: Union[str, Path],

@@ -9,7 +9,10 @@ Actions:
 
 ``evaluate``
     Run one design point (workload × operator × seed × backend) and return
-    its result row.  Points recorded in the shared
+    its result row.  The point is built as :meth:`Study.adders
+    <repro.core.study.Study.adders>` / ``multipliers`` / ``operators`` build
+    it, so the row carries the point's ``design``, ``axis`` and
+    ``word_length`` next to the operators and metrics.  Points recorded in the shared
     :class:`~repro.core.store.ResultStore` are served warm and immediately;
     cold points flow through the :class:`~repro.server.batching.BatchQueue`,
     which coalesces concurrent same-workload evaluations into one banked

@@ -12,11 +12,8 @@ from repro.core import (
     ResultBundle,
     default_adder_sweep,
     default_multiplier_set,
-    dominates,
     minimal_adder_for,
     minimal_multiplier_for,
-    pareto_filter,
-    pareto_front,
     parse_operator,
     parse_operators,
     register_operator,
@@ -90,23 +87,6 @@ class TestSweeps:
     def test_default_multiplier_set(self):
         names = [op.name for op in default_multiplier_set(16)]
         assert names == ["MULt(16,16)", "AAM(16)", "ABM(16)"]
-
-
-class TestPareto:
-    def test_pareto_front_extraction(self):
-        points = [(1.0, 5.0), (2.0, 3.0), (3.0, 4.0), (4.0, 1.0)]
-        front = pareto_front(points)
-        assert front == [(1.0, 5.0), (2.0, 3.0), (4.0, 1.0)]
-
-    def test_dominates(self):
-        assert dominates((1.0, 1.0), (2.0, 2.0))
-        assert not dominates((1.0, 3.0), (2.0, 2.0))
-        assert not dominates((1.0, 1.0), (1.0, 1.0))
-
-    def test_pareto_filter_on_records(self):
-        records = [{"x": 1.0, "y": 5.0}, {"x": 2.0, "y": 3.0}, {"x": 3.0, "y": 4.0}]
-        front = pareto_filter(records, (lambda r: r["x"], lambda r: r["y"]))
-        assert len(front) == 2
 
 
 class TestCharacterizationFacade:

@@ -117,13 +117,19 @@ class TestDesignSpace(object):
                                        TruncatedMultiplier(16, 16)])
         assert [p.adder.name for p in space] == ["ADD(8)", "ADD(16)"]
 
-    def test_pair_with_is_rejected_on_design_space_sweeps(self):
-        study = (Study()
-                 .workload("fft", size=16, frames=2)
-                 .design_space(adder_axis([TruncatedAdder(16, 10)]))
-                 .pair_with("MULt(16,8)"))
-        with pytest.raises(ValueError, match="pair_with"):
-            study.run()
+    def test_inject_pair_feeds_partner_into_simulation(self):
+        def study(inject):
+            return (Study()
+                    .workload("fft", size=16, frames=2)
+                    .design_space(adder_axis([TruncatedAdder(16, 10)],
+                                             pair=TruncatedMultiplier(16, 8),
+                                             inject_pair=inject)))
+
+        charged, injected = study(False), study(True)
+        assert charged.point_keys()[0]["multiplier"] is None
+        assert injected.point_keys()[0]["multiplier"] == "MULt(16,8)"
+        assert charged.run().rows[0]["psnr_db"] \
+            != injected.run().rows[0]["psnr_db"]
 
 
 class TestParetoFront(object):

@@ -125,7 +125,9 @@ def rows_digest(rows):
 
 
 #: SHA-256 of each study's rows, recorded when the seed-style loops were
-#: still selectable per study and both modes produced these rows.
+#: still selectable per study and both modes produced these rows.  The
+#: design-point columns default rows gained later (``design``, ``axis``,
+#: ``word_length``) are left out of the digest.
 STUDY_DIGESTS = {
     "fft(64, frames=2)":
         "c77d731ae53d9f1ec93a0d2f1ca0bd2546bb74d65c937170cb096c235f418ffb",
@@ -153,4 +155,7 @@ class TestStudyLevelFusion(object):
 
         study = Study().workload(workload).seed(5)
         getattr(study, axis)(operators)
-        assert rows_digest(study.run().rows) == STUDY_DIGESTS[workload]
+        rows = [{column: value for column, value in row.items()
+                 if column not in ("design", "axis", "word_length")}
+                for row in study.run().rows]
+        assert rows_digest(rows) == STUDY_DIGESTS[workload]

@@ -3,8 +3,8 @@
 The contracts under test are the ones the fan-out/fan-in CI workflow (and
 any distributed execution) relies on:
 
-* the round-robin partition of a design space / study sweep is a *disjoint
-  cover* of the point set for any shard count, stable across runs;
+* the round-robin partition of a study sweep is a *disjoint cover* of the
+  point set for any shard count, stable across runs;
 * merging shard results reproduces the unsharded rows, Pareto fronts and
   metadata bit-identically, and rejects incomplete or overlapping shards;
 * a run killed mid-sweep and restarted against the same store recomputes
@@ -62,28 +62,16 @@ def test_experiment_registry_covers_the_whole_suite():
 # --------------------------------------------------------------------------- #
 # Partition properties
 # --------------------------------------------------------------------------- #
-def test_design_space_shards_are_disjoint_cover_for_any_count():
-    space = joint_adder_space(16, reduced=True)
-    keys = [point.key for point in space]
-    for count in range(1, len(space) + 2):
-        shards = [space.shard(index, count) for index in range(count)]
-        shard_keys = [point.key for shard in shards for point in shard]
-        # Disjoint: no key appears in two shards; cover: union is the space.
-        assert len(shard_keys) == len(space)
-        assert sorted(map(str, shard_keys)) == sorted(map(str, keys))
-        # Stable: re-sharding yields the identical partition.
-        again = [space.shard(index, count).labels() for index in range(count)]
-        assert again == [shard.labels() for shard in shards]
-
-
-def test_design_space_shard_validates_bounds():
-    space = joint_adder_space(16, reduced=True)
-    with pytest.raises(ValueError):
-        space.shard(2, 2)
-    with pytest.raises(ValueError):
-        space.shard(0, 0)
-    with pytest.raises(ValueError):
-        space.shard(-1, 3)
+def test_study_shards_are_disjoint_cover_for_any_count():
+    keys = [str(key) for key in tiny_study().point_keys()]
+    for count in range(1, len(keys) + 2):
+        shards = [[str(key) for key in tiny_study(shard=(index, count))
+                   .point_keys()] for index in range(count)]
+        # Disjoint: no key appears in two shards; cover: union is the sweep.
+        assert sorted(key for shard in shards for key in shard) \
+            == sorted(keys)
+        # Round-robin: shard i holds exactly the points j with j % n == i.
+        assert shards == [keys[index::count] for index in range(count)]
 
 
 def test_parse_shard_specs():

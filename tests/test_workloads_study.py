@@ -1,8 +1,12 @@
 """Tests for the workload plugin API and the fluent Study pipeline."""
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from repro.core import DatapathEnergyModel, Study, parse_spec, unique_by_name
+from repro import __version__
+from repro.core import DatapathEnergyModel, Study, key_digest, parse_spec, unique_by_name
 from repro.core.exploration import sweep_truncated_adders
 from repro.operators.adders import ACAAdder, TruncatedAdder
 from repro.operators.multipliers import TruncatedMultiplier
@@ -173,6 +177,9 @@ class TestStudy(object):
         with pytest.raises(TypeError, match="not an adder"):
             (Study().workload("fft")
              .adders([TruncatedMultiplier(16, 16)]).run())
+        with pytest.raises(TypeError, match="not a multiplier"):
+            (Study().workload("fft")
+             .multipliers([TruncatedAdder(16, 10)]).run())
 
     def test_characterization_workload_via_study(self):
         result = (Study()
@@ -203,6 +210,88 @@ class TestStudy(object):
         second = workload.run(operators, config, np.random.default_rng(3))
         assert first.metrics == second.metrics
         assert first.counts.additions == second.counts.additions
+
+
+#: Columns every default row carries from its design point, on top of the
+#: columns the operator-list sweeps emitted before they became design points.
+DESIGN_COLUMNS = ("design", "axis", "word_length")
+
+
+def operator_list_studies():
+    """One ``adders``, one ``multipliers`` and one mixed ``operators`` sweep."""
+    energy = DatapathEnergyModel(hardware_samples=200)
+    return {
+        "adders": (Study().workload("fft(32, frames=2)")
+                   .adders(["ADDt(16,10)", "ACA(16,8)", "ETAIV(16,4)",
+                            "ADDr(16,12)"])
+                   .energy(energy).seed(3)),
+        "multipliers": (Study()
+                        .workload("kmeans(runs=1, points_per_run=300, "
+                                  "iterations=3)")
+                        .multipliers(["MULt(16,16)", "MULt(16,8)", "AAM(16)"])
+                        .energy(energy).seed(5)),
+        "operators": (Study().workload("fft(32, frames=2)")
+                      .operators(["ADDt(16,10)", "MULt(16,8)", "ACA(16,8)",
+                                  "MULt(12,12)"])
+                      .energy(energy).seed(1)),
+    }
+
+
+#: SHA-256 over the store-key digests of each sweep's points (the ``repro``
+#: version field left out), recorded before the operator-list sweeps were
+#: built from design points: a filled store stays warm across the change.
+KEY_DIGESTS = {
+    "adders": "c030b5f7fee6cc758d2c6c4880ece74408921b1bb776884c4aa2d89e9a71db90",
+    "multipliers": "4146028e09e584bc4ee622ac51c1ebd9ce1f589e010c8332e5adfdef47e8bcc6",
+    "operators": "2a92384a025da36c426ac246e7c3e5305792de70c6070e1b899fda6910fb636e",
+}
+
+#: SHA-256 of each sweep's rows as ordered (column, value) pairs with the
+#: DESIGN_COLUMNS left out, recorded at the same point: values and column
+#: order are unchanged.
+ROW_DIGESTS = {
+    "adders": "42db86d475d6bcef1d85de40e54e24a0680570939d51f306f930d0ff445f876a",
+    "multipliers": "772a96beeeb9e3ad7ef2b1f9357078be5a6def0b3b8d39e1e4cff4fb3a371dd4",
+    "operators": "5227579d4ee05df1c78d2938382e61b44acf51cf49d99dd07380fed54940d8d8",
+}
+
+
+class TestOperatorListSweeps(object):
+    """``adders``/``multipliers``/``operators`` build one design point per
+    operator with the paper's pairing, keeping keys and rows stable."""
+
+    @pytest.mark.parametrize("name", sorted(KEY_DIGESTS))
+    def test_point_keys_match_pinned_digest(self, name):
+        keys = operator_list_studies()[name].point_keys()
+        assert all(key["repro"] == __version__ for key in keys)
+        text = "".join(
+            key_digest("sweep", {field: value for field, value in key.items()
+                                 if field != "repro"})
+            for key in keys)
+        assert hashlib.sha256(text.encode()).hexdigest() == KEY_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
+    def test_rows_match_pinned_digest(self, name):
+        rows = operator_list_studies()[name].run().rows
+        for row in rows:
+            assert list(row)[2:5] == list(DESIGN_COLUMNS)
+        stripped = [[(column, value) for column, value in row.items()
+                     if column not in DESIGN_COLUMNS] for row in rows]
+        text = json.dumps(stripped)
+        assert hashlib.sha256(text.encode()).hexdigest() == ROW_DIGESTS[name]
+
+    def test_pairing_follows_the_operator_type(self):
+        points = (Study().workload("fft")
+                  .operators(["ADDt(16,10)", "AAM(16)"])._points)
+        assert [(p.role, p.adder.name, p.multiplier.name) for p in points] \
+            == [("adder", "ADDt(16,10)", "MULt(10,10)"),
+                ("multiplier", "ADD(16)", "AAM(16)")]
+
+    def test_duplicates_are_kept(self):
+        result = (Study().workload("fft(32, frames=1)")
+                  .adders(["ADDt(16,10)", "ADDt(16,10)"]).run())
+        assert len(result.rows) == 2
+        assert result.rows[0] == result.rows[1]
 
 
 class TestSweepDeduplication(object):
