@@ -1,26 +1,44 @@
 """Instrumented fixed-point radix-2 FFT (the paper's first application).
 
-The transform operates on 16-bit two's-complement data (Q1.15) and routes
-every addition/subtraction and every twiddle multiplication through the
-:class:`~repro.core.context.ApproxContext` supplied by the caller, counting
-operations along the way so the datapath energy model (Equation 1) can charge
-them.  Per-stage scaling by 1/2 keeps the butterflies overflow-free, which is
-the classical fixed-point FFT arrangement.
+The transform operates on 16-bit two's-complement data (Q1.15) and executes
+every addition/subtraction and every twiddle multiplication with the
+operators and backend of the :class:`~repro.core.context.ApproxContext`
+supplied by the caller, charging that context's counter along the way so the
+datapath energy model (Equation 1) can charge the operations.  Per-stage
+scaling by 1/2 keeps the butterflies overflow-free, which is the classical
+fixed-point FFT arrangement.
 
-Execution is *stage-fused*: each of the ``log2(size)`` stages issues ten
-batched context calls covering every butterfly at once, with the stage's
-twiddle column broadcast over the whole block.
+Execution is *stage-fused* and *row-batched*: :meth:`FixedPointFFT.forward`
+takes one frame or a ``(rows, size)`` stack of frames, and each of the
+``log2(size)`` stages issues its operator calls over every butterfly of every
+row at once, with the stage's twiddle column broadcast over the block.  Rows
+may run different datapaths (``row_contexts``): a stage then groups its rows
+by operator model — multiplications by multiplier, additions and
+subtractions by adder — and makes one backend call per group, so a stage
+costs 4 calls per distinct multiplier plus 6 per distinct adder.  A single
+datapath is the one-group case of the same loop.
 """
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.backends import ExecutionBackend
 from ..core.context import ApproxContext
 from ..core.datapath import OperationCounts
+from ..operators.base import Operator
+
+#: One row's datapath: a context for every stage, or one context per stage.
+RowDatapath = Union[ApproxContext, Sequence[ApproxContext]]
+#: Operator, backend and the row indices of one call group.
+_RowGroup = Tuple[Operator, ExecutionBackend, np.ndarray]
+#: Per stage: multiplier groups, adder groups, and each context's row count.
+_StagePlan = Tuple[List[_RowGroup], List[_RowGroup],
+                   "Counter[ApproxContext]"]
 
 
 @dataclass(frozen=True)
@@ -75,22 +93,29 @@ class FixedPointFFT:
         self.context = context
         self.data_width = context.data_width
         self.frac_bits = context.frac_bits
+        self.stages = int(math.log2(size))
         self.stage_contexts: Optional[List[ApproxContext]] = None
         if stage_contexts is not None:
-            stages = int(math.log2(size))
-            contexts = list(stage_contexts)
-            if len(contexts) != stages:
-                raise ValueError(
-                    f"expected {stages} stage contexts for a size-{size} "
-                    f"transform, got {len(contexts)}")
-            for stage, stage_ctx in enumerate(contexts):
-                if stage_ctx.data_width != self.data_width:
-                    raise ValueError(
-                        f"stage {stage} context word length "
-                        f"({stage_ctx.data_width} bits) does not match the "
-                        f"datapath ({self.data_width} bits)")
-            self.stage_contexts = contexts
+            self.stage_contexts = self._datapath(stage_contexts)
         self._twiddles = self._quantized_twiddles()
+
+    def _datapath(self, contexts: Union[ApproxContext, Sequence[ApproxContext]]
+                  ) -> List[ApproxContext]:
+        """One context per stage, checked against the transform's width."""
+        if isinstance(contexts, ApproxContext):
+            contexts = [contexts] * self.stages
+        contexts = list(contexts)
+        if len(contexts) != self.stages:
+            raise ValueError(
+                f"expected {self.stages} stage contexts for a size-{self.size} "
+                f"transform, got {len(contexts)}")
+        for stage, stage_ctx in enumerate(contexts):
+            if stage_ctx.data_width != self.data_width:
+                raise ValueError(
+                    f"stage {stage} context word length "
+                    f"({stage_ctx.data_width} bits) does not match the "
+                    f"datapath ({self.data_width} bits)")
+        return contexts
 
     @property
     def adder(self):
@@ -117,15 +142,34 @@ class FixedPointFFT:
     # ------------------------------------------------------------------ #
     # Instrumented arithmetic
     # ------------------------------------------------------------------ #
-    def _mul(self, ctx: ApproxContext, a: np.ndarray, twiddle) -> np.ndarray:
+    def _product(self, groups: List[_RowGroup], a: np.ndarray,
+                 twiddle: np.ndarray) -> np.ndarray:
         """Q1.15 x Q1.15 product re-aligned to Q1.15 (shift by frac_bits)."""
-        product = ctx.mul(a, twiddle)
-        return ctx.wrap(product >> self.frac_bits)
+        return self.context.wrap(
+            self._grouped(groups, a, twiddle) >> self.frac_bits)
 
     @staticmethod
     def _halve(value: np.ndarray) -> np.ndarray:
         """Per-stage scaling by 1/2 (arithmetic shift, free in hardware)."""
         return np.asarray(value, dtype=np.int64) >> 1
+
+    @staticmethod
+    def _grouped(groups: List[_RowGroup], a: np.ndarray,
+                 b: np.ndarray) -> np.ndarray:
+        """``a`` op ``b`` with one backend call per row group.
+
+        ``a`` is a ``(rows, ...)`` block; ``b`` is either a block of the same
+        shape (indexed with the rows) or a twiddle column broadcast to all.
+        """
+        if len(groups) == 1:
+            operator, backend, _ = groups[0]
+            return np.asarray(backend.execute(operator, a, b), dtype=np.int64)
+        row_operand = b.ndim == a.ndim
+        out = np.empty(a.shape, dtype=np.int64)
+        for operator, backend, rows in groups:
+            out[rows] = backend.execute(operator, a[rows],
+                                        b[rows] if row_operand else b)
+        return out
 
     # ------------------------------------------------------------------ #
     # Transform
@@ -139,36 +183,94 @@ class FixedPointFFT:
             reversed_indices |= ((indices >> bit) & 1) << (bits - 1 - bit)
         return reversed_indices
 
-    def forward(self, real: np.ndarray,
-                imag: Optional[np.ndarray] = None) -> FftResult:
-        """Run the transform on Q1.(data_width-1) integer codes."""
-        contexts = self.stage_contexts
-        starting: List[Tuple[ApproxContext, OperationCounts]] = []
-        seen_ids = set()
-        for stage_ctx in (contexts if contexts is not None else [self.context]):
-            if id(stage_ctx) not in seen_ids:
-                seen_ids.add(id(stage_ctx))
-                starting.append((stage_ctx, stage_ctx.counts))
-        x_re = np.asarray(real, dtype=np.int64).copy()
-        x_im = np.zeros_like(x_re) if imag is None \
-            else np.asarray(imag, dtype=np.int64).copy()
-        if x_re.shape != (self.size,):
-            raise ValueError(f"expected {self.size} samples, got {x_re.shape}")
+    def _stage_plan(self, rows: int,
+                    row_contexts: Optional[Sequence[RowDatapath]]
+                    ) -> List[_StagePlan]:
+        """Per stage: multiplier groups, adder groups and per-context rows.
 
+        Operators group by model (type and name — the identity sweep store
+        keys use) together with the backend instance that executes them.
+        """
+        if row_contexts is None:
+            table = [self.stage_contexts or [self.context] * self.stages] * rows
+        else:
+            if len(row_contexts) != rows:
+                raise ValueError(f"expected {rows} row contexts, one per "
+                                 f"input row, got {len(row_contexts)}")
+            table = [self._datapath(entry) for entry in row_contexts]
+        plan: List[_StagePlan] = []
+        for stage in range(self.stages):
+            column = [contexts[stage] for contexts in table]
+            groups = []
+            for role in ("multiplier", "adder"):
+                members: Dict[tuple, List[int]] = {}
+                for row, ctx in enumerate(column):
+                    operator = getattr(ctx, role)
+                    key = (type(operator), operator.name, id(ctx.backend))
+                    members.setdefault(key, []).append(row)
+                groups.append([(getattr(column[group[0]], role),
+                                column[group[0]].backend,
+                                np.asarray(group, dtype=np.intp))
+                               for group in members.values()])
+            plan.append((groups[0], groups[1], Counter(column)))
+        return plan
+
+    def forward(self, real: np.ndarray, imag: Optional[np.ndarray] = None,
+                row_contexts: Optional[Sequence[RowDatapath]] = None
+                ) -> FftResult:
+        """Run the transform on Q1.(data_width-1) integer codes.
+
+        ``real`` is one frame of ``size`` samples or a ``(rows, size)``
+        stack of frames; ``imag``, when given, must have the same shape.
+        The result's arrays have the input's shape.
+
+        ``row_contexts`` gives each row its own datapath: one entry per
+        row, either a context for every stage or a per-stage sequence of
+        contexts (all on the transform's word length).  Without it every
+        row runs this transform's ``stage_contexts`` (or ``context``).
+        Each stage groups its rows by operator model: multiplications by
+        multiplier, additions and subtractions by adder, each together
+        with its backend.  It makes one backend call per group and
+        operation, so a stage costs 4 calls per distinct multiplier plus 6
+        per distinct adder.  Every context is charged for the operations of
+        its own rows, and the result's counts sum the charges over the
+        distinct contexts: a stack costs exactly the counts of its frames
+        run one at a time.
+        """
+        x_re = np.asarray(real, dtype=np.int64)
+        if x_re.ndim not in (1, 2) or x_re.shape[-1] != self.size:
+            raise ValueError(
+                f"expected {self.size} samples or a (rows, {self.size}) "
+                f"stack, got shape {x_re.shape}")
+        if imag is None:
+            x_im = np.zeros_like(x_re)
+        else:
+            x_im = np.asarray(imag, dtype=np.int64)
+            if x_im.shape != x_re.shape:
+                raise ValueError(
+                    f"imag has shape {x_im.shape}, real has {x_re.shape}; "
+                    f"they must match")
+        single = x_re.ndim == 1
         order = self._bit_reverse_permutation(self.size)
-        x_re, x_im = x_re[order], x_im[order]
-        tw_re, tw_im = self._twiddles
+        # Fancy indexing copies, so the caller's arrays are never written.
+        x_re = x_re.reshape(-1, self.size)[:, order]
+        x_im = x_im.reshape(-1, self.size)[:, order]
+        plan = self._stage_plan(x_re.shape[0], row_contexts)
+        starting = {ctx: ctx.counts for _, _, charged in plan
+                    for ctx in charged}
 
-        half = 1
-        stage = 0
-        while half < self.size:
-            ctx = contexts[stage] if contexts is not None else self.context
-            stage += 1
+        tw_re, tw_im = self._twiddles
+        butterflies = self.size // 2
+        # Wrapping and negation depend only on the word length, which every
+        # row's contexts share with this transform.
+        negate = self.context.negate
+        for stage, (multipliers, adders, charged) in enumerate(plan):
+            half = 1 << stage
             step = self.size // (2 * half)
-            # Every butterfly of the stage in one batched pass: rows are
-            # twiddle offsets, columns are the groups sharing that twiddle,
-            # and the twiddle column broadcasts over the whole
-            # (half, groups) block.
+            # Every butterfly of the stage in one batched pass over a
+            # (rows, half, groups) block: axis 1 is the twiddle offset,
+            # axis 2 the butterfly groups sharing that twiddle, and the
+            # twiddle column broadcasts over the rows and the groups.
             offsets = np.arange(half, dtype=np.int64)
             starts = np.arange(0, self.size, 2 * half, dtype=np.int64)
             tops = offsets[:, None] + starts[None, :]
@@ -178,25 +280,32 @@ class FixedPointFFT:
             w_im = tw_im[k][:, None]
 
             # Pre-scale both branches to keep the butterfly in range.
-            a_re, a_im = self._halve(x_re[tops]), self._halve(x_im[tops])
-            b_re, b_im = self._halve(x_re[bottoms]), self._halve(x_im[bottoms])
+            a_re, a_im = self._halve(x_re[:, tops]), self._halve(x_im[:, tops])
+            b_re = self._halve(x_re[:, bottoms])
+            b_im = self._halve(x_im[:, bottoms])
 
             # Complex twiddle multiplication (4 real mult, 2 real add).
-            prod_re = ctx.sub(self._mul(ctx, b_re, w_re),
-                              self._mul(ctx, b_im, w_im))
-            prod_im = ctx.add(self._mul(ctx, b_re, w_im),
-                              self._mul(ctx, b_im, w_re))
+            prod_re = self._grouped(
+                adders, self._product(multipliers, b_re, w_re),
+                negate(self._product(multipliers, b_im, w_im)))
+            prod_im = self._grouped(
+                adders, self._product(multipliers, b_re, w_im),
+                self._product(multipliers, b_im, w_re))
 
             # Butterfly combine (4 real additions).
-            x_re[tops] = ctx.add(a_re, prod_re)
-            x_im[tops] = ctx.add(a_im, prod_im)
-            x_re[bottoms] = ctx.sub(a_re, prod_re)
-            x_im[bottoms] = ctx.sub(a_im, prod_im)
-            half *= 2
+            x_re[:, tops] = self._grouped(adders, a_re, prod_re)
+            x_im[:, tops] = self._grouped(adders, a_im, prod_im)
+            x_re[:, bottoms] = self._grouped(adders, a_re, negate(prod_re))
+            x_im[:, bottoms] = self._grouped(adders, a_im, negate(prod_im))
+            for ctx, count in charged.items():
+                ctx.counter.count_multiplications(4 * butterflies * count)
+                ctx.counter.count_additions(6 * butterflies * count)
 
         total = OperationCounts()
-        for stage_ctx, start in starting:
-            total = total + stage_ctx.counts_since(start)
+        for ctx, start in starting.items():
+            total = total + ctx.counts_since(start)
+        if single:
+            x_re, x_im = x_re[0], x_im[0]
         return FftResult(real=x_re, imag=x_im, counts=total)
 
     # ------------------------------------------------------------------ #
@@ -213,8 +322,7 @@ class FixedPointFFT:
 
     def operation_counts(self) -> OperationCounts:
         """Operation inventory of one transform (independent of the data)."""
-        stages = int(math.log2(self.size))
-        butterflies = stages * self.size // 2
+        butterflies = self.stages * self.size // 2
         return OperationCounts(additions=6 * butterflies,
                                multiplications=4 * butterflies)
 
@@ -226,11 +334,10 @@ class FixedPointFFT:
         of :meth:`operation_counts` evenly — the accounting a heterogeneous
         per-stage datapath charges stage by stage.
         """
-        stages = int(math.log2(self.size))
         butterflies = self.size // 2
         return [OperationCounts(additions=6 * butterflies,
                                 multiplications=4 * butterflies)
-                for _ in range(stages)]
+                for _ in range(self.stages)]
 
 
 def random_q15_signal(size: int, amplitude: float = 0.5,

@@ -133,13 +133,15 @@ class ApproxContext:
         Charged as one addition per element, exactly as the seed kernels
         counted their subtractions (negation is free in hardware).
         """
-        if np.ndim(b) == 0:
-            negated: ArrayLike = wrap_to_width(-int(b), self.data_width)
-        else:
-            negated = np.asarray(
-                wrap_to_width(-np.asarray(b, dtype=np.int64), self.data_width),
-                dtype=np.int64)
-        return self.add(a, negated)
+        return self.add(a, self.negate(b))
+
+    def negate(self, value: ArrayLike) -> ArrayLike:
+        """Two's-complement negation on the datapath grid (not charged)."""
+        if np.ndim(value) == 0:
+            return wrap_to_width(-int(value), self.data_width)
+        return np.asarray(
+            wrap_to_width(-np.asarray(value, dtype=np.int64), self.data_width),
+            dtype=np.int64)
 
     def mul(self, a: ArrayLike, b: ArrayLike) -> np.ndarray:
         """Aligned product through the multiplier model; one mul per element."""

@@ -26,8 +26,11 @@ Execution is deterministic: the stimulus seed fixes every workload input, the
 functional simulations of the sweep points are independent (and therefore
 parallelisable over a process pool), and energy accounting always happens in
 the parent process against the shared cache — so ``run(workers=4)`` yields
-results identical to ``run(workers=1)``.  A pool that cannot start falls
-back to the serial path with a ``RuntimeWarning``.  Every sweep point
+results identical to ``run(workers=1)``.  The serial path hands every
+pending point to one :meth:`~repro.workloads.base.Workload.run_many` call
+(the FFT workload stacks them into one transform); a pool runs one point
+per task.  A pool that cannot start falls back to the serial path with a
+``RuntimeWarning``.  Every sweep point
 evaluates its operators through their closed forms on the ``"direct"``
 backend unless :meth:`Study.backend` selects a registered plug-in.
 """
@@ -101,12 +104,33 @@ def _operator_point(operator: OperatorLike, role: str) -> DesignPoint:
     return multiplier_point(swept, adder=ExactAdder(swept.input_width))
 
 
-def _execute_point(task: Tuple[Workload, OperatorMap, Dict[str, object], int]
-                   ) -> WorkloadResult:
+#: Version of the functional simulation behind a sweep record: workload
+#: kernels, operator models, stimulus and metrics.  Sweep store keys carry
+#: it instead of the package version, so a release keeps filled stores
+#: warm; bump it whenever a change alters any point's metrics, counts or
+#: details.
+MODEL_VERSION = 1
+
+#: One sweep point's executable task: workload, operators, merged
+#: configuration and stimulus seed.
+SweepTask = Tuple[Workload, OperatorMap, Dict[str, object], int]
+
+
+def _execute_points(tasks: Sequence[SweepTask]) -> List[WorkloadResult]:
+    """Run sweep points' functional simulations in one ``run_many`` call.
+
+    Every task of a study shares its workload.  Process-pool safe: each
+    pool worker runs one point through here.
+    """
+    workload = tasks[0][0]
+    return workload.run_many([
+        (operators, config, np.random.default_rng(seed))
+        for _, operators, config, seed in tasks])
+
+
+def _execute_point(task: SweepTask) -> WorkloadResult:
     """Run one sweep point's functional simulation (process-pool safe)."""
-    workload, operators, config, seed = task
-    rng = np.random.default_rng(seed)
-    return workload.run(operators, config, rng)
+    return _execute_points([task])[0]
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
@@ -272,9 +296,9 @@ class Study:
         Accepts a :class:`~repro.core.store.ResultStore` or a directory
         path.  Sweep points whose exact computation (workload, configuration
         merged with the point's own overrides, the operators the simulation
-        runs with, seed, repro version) was recorded in an earlier session
-        are served from disk and skip their functional simulation; fresh
-        points are written back.  Neither the backend nor a charged-only
+        runs with, seed, :data:`MODEL_VERSION`) was recorded in an earlier
+        session are served from disk and skip their functional simulation;
+        fresh points are written back.  Neither the backend nor a charged-only
         partner is part of the key: backends must be bit-identical, and the
         energy is charged after the simulation, so points differing only in
         either share a record.  The store is also offered to the energy
@@ -413,8 +437,7 @@ class Study:
                         if index % shard_count == shard_index]
         else:
             selected = list(range(len(points)))
-        tasks: List[Tuple[int, Tuple[Workload, OperatorMap,
-                                     Dict[str, object], int]]] = []
+        tasks: List[Tuple[int, SweepTask]] = []
         for index in selected:
             point = points[index]
             point_config = config
@@ -574,9 +597,7 @@ class Study:
     # ------------------------------------------------------------------ #
     # Execution internals
     # ------------------------------------------------------------------ #
-    def _outcomes(self, tasks: List[Tuple[int, Tuple[Workload, OperatorMap,
-                                                     Dict[str, object], int]]],
-                  workers: int):
+    def _outcomes(self, tasks: List[Tuple[int, SweepTask]], workers: int):
         """Yield ``(index, WorkloadResult, fresh)`` in completion order.
 
         ``tasks`` pairs each sweep point with its global sweep index (the
@@ -585,8 +606,7 @@ class Study:
         of a process pool as each future completes.  Fresh results are
         written back to the store.
         """
-        pending: List[Tuple[int, Tuple[Workload, OperatorMap,
-                                       Dict[str, object], int]]] = []
+        pending: List[Tuple[int, SweepTask]] = []
         keys: Dict[int, Dict[str, object]] = {}
         for index, task in tasks:
             key = self._sweep_key(task) if self._store is not None else None
@@ -605,15 +625,11 @@ class Study:
                     self._store.save("sweep", keys[index], payload)
             yield index, result, True
 
-    def _sweep_key(self, task: Tuple[Workload, OperatorMap,
-                                     Dict[str, object], int]
-                   ) -> Dict[str, object]:
+    def _sweep_key(self, task: SweepTask) -> Dict[str, object]:
         """Identity of one sweep point's exact computation."""
-        from .. import __version__
-
         workload, operator_map, config, seed = task
         return {
-            "repro": __version__,
+            "model": MODEL_VERSION,
             "workload": workload.name,
             "config": config,
             "seed": seed,
@@ -625,19 +641,19 @@ class Study:
         }
 
     @staticmethod
-    def _execute_stream(pending: List[Tuple[int, Tuple[Workload, OperatorMap,
-                                                       Dict[str, object], int]]],
-                        workers: int):
+    def _execute_stream(pending: List[Tuple[int, SweepTask]], workers: int):
         """Yield ``(index, WorkloadResult)`` as sweep points complete.
 
-        ``workers > 1`` streams completions out of a process pool (in
-        completion order, which is what feeds the incremental Pareto
-        front); restricted environments (no process spawning / semaphores)
-        fall back to the serial path, which is result-identical.
+        The serial path hands every pending point to one
+        :meth:`Workload.run_many` call and yields the results in sweep
+        order.  ``workers > 1`` streams completions out of a process pool,
+        one point per future (in completion order, which is what feeds the
+        incremental Pareto front); restricted environments (no process
+        spawning / semaphores) fall back to the serial path, which is
+        result-identical.
         """
         if workers <= 1 or len(pending) <= 1:
-            for index, task in pending:
-                yield index, _execute_point(task)
+            yield from Study._execute_serial(pending)
             return
         from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 
@@ -658,9 +674,15 @@ class Study:
                 f"process pool unavailable ({error.__class__.__name__}: "
                 f"{error}); falling back to serial execution — results "
                 f"are identical, only slower", RuntimeWarning)
-        for index, task in pending:
-            if index not in done:
-                yield index, _execute_point(task)
+        yield from Study._execute_serial(
+            [(index, task) for index, task in pending if index not in done])
+
+    @staticmethod
+    def _execute_serial(pending: List[Tuple[int, SweepTask]]):
+        """Yield ``(index, WorkloadResult)`` from one batched execution."""
+        if pending:
+            results = _execute_points([task for _, task in pending])
+            yield from zip([index for index, _ in pending], results)
 
 
 def _default_row(outcome: SweepOutcome) -> Dict[str, object]:

@@ -6,7 +6,7 @@ to quality metrics plus an operation inventory.  The registry turns spec
 strings such as ``"fft(1024)"`` or ``"jpeg(size=96)"`` into configured
 instances, mirroring the operator registry in :mod:`repro.core.registry`.
 """
-from .base import OperatorMap, Workload, WorkloadResult
+from .base import OperatorMap, Workload, WorkloadResult, WorkloadTask
 from .characterization import CharacterizationWorkload
 from .fft import FftWorkload, fft_output_psnr
 from .hevc import HevcWorkload
@@ -31,6 +31,7 @@ register_workload("characterization", CharacterizationWorkload)
 __all__ = [
     "Workload",
     "WorkloadResult",
+    "WorkloadTask",
     "OperatorMap",
     "FftWorkload",
     "JpegWorkload",

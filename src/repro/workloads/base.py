@@ -8,6 +8,11 @@ a ``run`` method mapping operators to quality metrics plus an operation
 inventory — so the :class:`~repro.core.study.Study` pipeline can sweep any
 workload without knowing its internals, serially or across a process pool.
 
+A workload may also override :meth:`Workload.run_many`, which the study
+hands every pending point of a serial sweep at once; the default loops over
+``run``.  The FFT workload uses it to stack candidates that share a
+stimulus into one transform.
+
 Writing a new scenario is therefore a ~50-line plugin::
 
     from repro.workloads import Workload, WorkloadResult, register_workload
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +74,10 @@ class WorkloadResult:
     details: Mapping[str, object] = field(default_factory=dict)
 
 
+#: One point handed to :meth:`Workload.run_many`: the ``run`` arguments.
+WorkloadTask = Tuple[OperatorMap, Mapping[str, object], np.random.Generator]
+
+
 class Workload(ABC):
     """Base class of every pluggable application workload.
 
@@ -77,6 +86,13 @@ class Workload(ABC):
     function of its arguments (no hidden global state): the study executor
     may invoke it in worker processes, and serial and parallel execution are
     required to produce identical results.
+
+    The study executes points through :meth:`run_many`: a serial sweep
+    hands it every pending point at once, and each process-pool worker
+    calls it with a single point.  The default loops over :meth:`run`;
+    override it when points can share work (the FFT workload stacks
+    candidates into one transform).  An override must return exactly what
+    ``run`` would return for each task, in task order.
     """
 
     #: Registry name, e.g. ``"fft"`` — also the default spec prefix.
@@ -97,6 +113,12 @@ class Workload(ABC):
         is a generator derived from that seed for workloads that prefer
         drawing directly from it.
         """
+
+    def run_many(self, tasks: Sequence[WorkloadTask]) -> List[WorkloadResult]:
+        """Execute several points: one result per ``(operators, config,
+        rng)`` task, in task order, each identical to ``run(*task)``."""
+        return [self.run(operators, config, rng)
+                for operators, config, rng in tasks]
 
     def merged_config(self, overrides: Mapping[str, object]) -> Dict[str, object]:
         """Defaults updated with ``overrides``; unknown keys are rejected."""

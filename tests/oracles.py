@@ -19,7 +19,9 @@ per FFT stage, DCT dot-product step, HEVC tap group or K-means dimension.
 The seed functions are the per-constant loops those kernels were fused
 from: one round of scalar-coefficient context calls per twiddle offset,
 matrix entry, filter tap or centroid.  The fused kernels must match them
-bit for bit, operation counts included.
+bit for bit, operation counts included.  :func:`seed_fft_workload_run` is
+the FFT workload as it ran before candidates were stacked: one forward per
+frame and per candidate.
 
 :func:`seed_netlist_evaluate` and :func:`seed_monte_carlo_estimate` do the
 same for the hardware layer: the per-gate simulator (one NumPy op per gate
@@ -30,11 +32,14 @@ breakdowns must match exactly.
 """
 import numpy as np
 
-from repro.apps.fft import FftResult
+from repro.apps.fft import FftResult, FixedPointFFT, random_q15_signal
+from repro.core.context import ApproxContext
+from repro.core.datapath import OperationCounts
 from repro.apps.hevc_mc import FILTER_SHIFT, LUMA_FILTERS, McFilterResult
 from repro.fxp.quantize import restore_lsbs, wrap_to_width
 from repro.hardware import GateKind, PowerBreakdown
 from repro.hardware.power import _DFF_CLOCK_FRACTION, _DFF_DATA_ACTIVITY
+from repro.metrics.signal import psnr_db
 from repro.operators import (
     AAMMultiplier,
     ABMMultiplier,
@@ -44,6 +49,7 @@ from repro.operators import (
 from repro.operators.adders.etaiv import _BlockCarrySpeculationAdder
 from repro.operators.bitops import get_bit, mask, to_signed, to_unsigned
 from repro.operators.multipliers.booth import booth_partial_products
+from repro.workloads.base import WorkloadResult
 
 
 def aca_compute(op, a, b):
@@ -182,14 +188,25 @@ def oracle_aligned(op, a, b):
 # Seed-style application kernels
 # ---------------------------------------------------------------------- #
 def seed_fft_forward(fft, ctx, real):
-    """``fft.forward(real)`` through ``ctx``, one twiddle offset at a time."""
-    start = ctx.counts
+    """``fft.forward(real)`` through ``ctx``, one twiddle offset at a time.
+
+    ``ctx`` is one context or a per-stage list of them; the counts sum over
+    the distinct contexts.
+    """
+    stage_contexts = ctx if isinstance(ctx, (list, tuple)) \
+        else [ctx] * fft.stages
+    distinct = {id(c): c for c in stage_contexts}.values()
+    start = [(c, c.counts) for c in distinct]
     x_re = np.asarray(real, dtype=np.int64)[
         fft._bit_reverse_permutation(fft.size)]
     x_im = np.zeros_like(x_re)
     tw_re, tw_im = fft._twiddles
+
+    def product(c, a, twiddle):
+        return c.wrap(c.mul(a, twiddle) >> fft.frac_bits)
+
     half = 1
-    while half < fft.size:
+    for c in stage_contexts:
         step = fft.size // (2 * half)
         for offset in range(half):
             tops = np.arange(offset, fft.size, 2 * half, dtype=np.int64)
@@ -197,16 +214,55 @@ def seed_fft_forward(fft, ctx, real):
             w_re, w_im = int(tw_re[offset * step]), int(tw_im[offset * step])
             a_re, a_im = fft._halve(x_re[tops]), fft._halve(x_im[tops])
             b_re, b_im = fft._halve(x_re[bottoms]), fft._halve(x_im[bottoms])
-            prod_re = ctx.sub(fft._mul(ctx, b_re, w_re),
-                              fft._mul(ctx, b_im, w_im))
-            prod_im = ctx.add(fft._mul(ctx, b_re, w_im),
-                              fft._mul(ctx, b_im, w_re))
-            x_re[tops] = ctx.add(a_re, prod_re)
-            x_im[tops] = ctx.add(a_im, prod_im)
-            x_re[bottoms] = ctx.sub(a_re, prod_re)
-            x_im[bottoms] = ctx.sub(a_im, prod_im)
+            prod_re = c.sub(product(c, b_re, w_re), product(c, b_im, w_im))
+            prod_im = c.add(product(c, b_re, w_im), product(c, b_im, w_re))
+            x_re[tops] = c.add(a_re, prod_re)
+            x_im[tops] = c.add(a_im, prod_im)
+            x_re[bottoms] = c.sub(a_re, prod_re)
+            x_im[bottoms] = c.sub(a_im, prod_im)
         half *= 2
-    return FftResult(real=x_re, imag=x_im, counts=ctx.counts_since(start))
+    counts = OperationCounts()
+    for c, snapshot in start:
+        counts = counts + c.counts_since(snapshot)
+    return FftResult(real=x_re, imag=x_im, counts=counts)
+
+
+def seed_fft_workload_run(operators, config):
+    """``FftWorkload.run`` one frame and one candidate at a time.
+
+    The evaluation the stacked ``run_many`` replaced: per frame, one
+    :func:`seed_fft_forward` through the point's datapath (per-stage
+    contexts for a ``stage_adders`` genome), then the output PSNR over
+    every frame's real and imaginary parts.
+    """
+    size, width = int(config["size"]), int(config["data_width"])
+    seed = int(config.get("seed", 0))
+    fft = FixedPointFFT(size, width)
+    stage_adders = config.get("stage_adders")
+    if stage_adders:
+        datapath = [ApproxContext(adder=str(name), data_width=width,
+                                  backend=operators.backend)
+                    for name in stage_adders]
+    else:
+        datapath = operators.context(data_width=width)
+    references, outputs = [], []
+    for frame in range(int(config["frames"])):
+        signal = random_q15_signal(size, amplitude=float(config["amplitude"]),
+                                   seed=seed + frame, frac_bits=width - 1)
+        spectrum = seed_fft_forward(fft, datapath, signal).as_complex(
+            frac_bits=fft.frac_bits)
+        reference = fft.reference_spectrum(signal)
+        references.append(np.concatenate([reference.real, reference.imag]))
+        outputs.append(np.concatenate([spectrum.real, spectrum.imag]))
+    details = {}
+    if stage_adders:
+        details = {"stage_adders": [str(name) for name in stage_adders],
+                   "stage_counts": [[c.additions, c.multiplications]
+                                    for c in fft.stage_operation_counts()]}
+    return WorkloadResult(
+        metrics={"psnr_db": psnr_db(np.concatenate(references),
+                                    np.concatenate(outputs))},
+        counts=fft.operation_counts(), details=details)
 
 
 def seed_dct_matmul(dct, ctx, data):

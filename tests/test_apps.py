@@ -99,6 +99,20 @@ class TestFFT:
         fft = FixedPointFFT(16)
         with pytest.raises(ValueError):
             fft.forward(np.zeros(8, dtype=np.int64))
+        with pytest.raises(ValueError):
+            fft.forward(np.zeros((3, 8), dtype=np.int64))
+        with pytest.raises(ValueError, match="shape"):
+            fft.forward(np.zeros((2, 3, 16), dtype=np.int64))
+        signal = random_q15_signal(32)
+        fft = FixedPointFFT(32)
+        # A longer imag used to be silently cut to its first 32 samples, a
+        # shorter one raised IndexError.
+        with pytest.raises(ValueError, match="imag"):
+            fft.forward(signal, np.concatenate([signal, 5 * signal]))
+        with pytest.raises(ValueError, match="imag"):
+            fft.forward(signal, signal[:16])
+        with pytest.raises(ValueError, match="imag"):
+            fft.forward(np.stack([signal, signal]), signal)
 
 
 class TestDCT:

@@ -5,8 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from repro import __version__
-from repro.core import DatapathEnergyModel, Study, key_digest, parse_spec, unique_by_name
+import repro
+from repro.core import (
+    MODEL_VERSION,
+    DatapathEnergyModel,
+    Study,
+    key_digest,
+    parse_spec,
+    unique_by_name,
+)
 from repro.core.exploration import sweep_truncated_adders
 from repro.operators.adders import ACAAdder, TruncatedAdder
 from repro.operators.multipliers import TruncatedMultiplier
@@ -237,7 +244,7 @@ def operator_list_studies():
     }
 
 
-#: SHA-256 over the store-key digests of each sweep's points (the ``repro``
+#: SHA-256 over the store-key digests of each sweep's points (the model
 #: version field left out), recorded before the operator-list sweeps were
 #: built from design points: a filled store stays warm across the change.
 KEY_DIGESTS = {
@@ -256,6 +263,16 @@ ROW_DIGESTS = {
 }
 
 
+#: SHA-256 over the full store-key digests of all three sweeps (model
+#: version field included) and the ``MODEL_VERSION`` it was recorded
+#: under.  A change that moves ``ROW_DIGESTS`` must bump the version, which
+#: moves this digest: filled stores go cold exactly when results change.
+PINNED_SWEEP_KEYS = {
+    "version": 1,
+    "sha256": "84736ab519fa959dda3d8fbca207078985da94ecd5da07737ab27fd05cb16be9",
+}
+
+
 class TestOperatorListSweeps(object):
     """``adders``/``multipliers``/``operators`` build one design point per
     operator with the paper's pairing, keeping keys and rows stable."""
@@ -263,12 +280,32 @@ class TestOperatorListSweeps(object):
     @pytest.mark.parametrize("name", sorted(KEY_DIGESTS))
     def test_point_keys_match_pinned_digest(self, name):
         keys = operator_list_studies()[name].point_keys()
-        assert all(key["repro"] == __version__ for key in keys)
+        assert all(key["model"] == MODEL_VERSION for key in keys)
         text = "".join(
             key_digest("sweep", {field: value for field, value in key.items()
-                                 if field != "repro"})
+                                 if field != "model"})
             for key in keys)
         assert hashlib.sha256(text.encode()).hexdigest() == KEY_DIGESTS[name]
+
+    def test_full_keys_match_pinned_model_version(self):
+        assert MODEL_VERSION == PINNED_SWEEP_KEYS["version"]
+        text = "".join(key_digest("sweep", key)
+                       for name in sorted(KEY_DIGESTS)
+                       for key in operator_list_studies()[name].point_keys())
+        assert hashlib.sha256(text.encode()).hexdigest() \
+            == PINNED_SWEEP_KEYS["sha256"]
+
+    def test_release_without_model_bump_keeps_store_warm(
+            self, tmp_path, monkeypatch):
+        def study():
+            return (Study().workload("fft(32, frames=1)")
+                    .adders(["ADDt(16,10)", "ACA(16,8)"]).store(tmp_path))
+
+        cold = study().run()
+        monkeypatch.setattr(repro, "__version__", "999.0.0")
+        warm = study().run()
+        assert warm.metadata["store_hits"] == 2
+        assert warm.rows == cold.rows
 
     @pytest.mark.parametrize("name", sorted(ROW_DIGESTS))
     def test_rows_match_pinned_digest(self, name):
