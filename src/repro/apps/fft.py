@@ -68,19 +68,12 @@ class FixedPointFFT:
         The :class:`ApproxContext` executing the additions and twiddle
         multiplications.  ``None`` selects the exact fixed-point baseline
         (accurate adder, fixed-width truncated multiplier, direct backend).
-    stage_contexts:
-        Optional per-stage contexts — one per ``log2(size)`` stage — for
-        heterogeneous datapaths that assign a different operator to each
-        stage (the design-space search's per-stage axis).  All contexts
-        must share the transform's word length; stage ``s`` executes every
-        butterfly of stage ``s`` through ``stage_contexts[s]``, and the
-        result's counts aggregate across the distinct contexts.
+        Heterogeneous per-stage datapaths go through
+        :meth:`forward`'s ``row_contexts``.
     """
 
     def __init__(self, size: int = 32, data_width: int = 16,
-                 context: Optional[ApproxContext] = None,
-                 stage_contexts: Optional[Sequence[ApproxContext]] = None
-                 ) -> None:
+                 context: Optional[ApproxContext] = None) -> None:
         if size < 2 or size & (size - 1) != 0:
             raise ValueError("FFT size must be a power of two >= 2")
         if context is None:
@@ -94,9 +87,6 @@ class FixedPointFFT:
         self.data_width = context.data_width
         self.frac_bits = context.frac_bits
         self.stages = int(math.log2(size))
-        self.stage_contexts: Optional[List[ApproxContext]] = None
-        if stage_contexts is not None:
-            self.stage_contexts = self._datapath(stage_contexts)
         self._twiddles = self._quantized_twiddles()
 
     def _datapath(self, contexts: Union[ApproxContext, Sequence[ApproxContext]]
@@ -192,7 +182,7 @@ class FixedPointFFT:
         keys use) together with the backend instance that executes them.
         """
         if row_contexts is None:
-            table = [self.stage_contexts or [self.context] * self.stages] * rows
+            table = [[self.context] * self.stages] * rows
         else:
             if len(row_contexts) != rows:
                 raise ValueError(f"expected {rows} row contexts, one per "
@@ -227,7 +217,7 @@ class FixedPointFFT:
         ``row_contexts`` gives each row its own datapath: one entry per
         row, either a context for every stage or a per-stage sequence of
         contexts (all on the transform's word length).  Without it every
-        row runs this transform's ``stage_contexts`` (or ``context``).
+        row runs this transform's ``context``.
         Each stage groups its rows by operator model: multiplications by
         multiplier, additions and subtractions by adder, each together
         with its backend.  It makes one backend call per group and

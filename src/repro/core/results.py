@@ -300,8 +300,10 @@ class ExperimentResult:
         global index, and recomputes every attached Pareto front over the
         reassembled row list.  Rows, fronts and metadata are bit-identical
         to an unsharded run of the same sweep (``store_hits`` counters, an
-        execution detail, are summed).  A single unsharded result passes
-        through as a copy.
+        execution detail, are summed).  Parts whose metadata differ in
+        anything but ``shard`` and ``store_hits`` come from different runs
+        (e.g. a reduced and a full one) and are rejected.  A single
+        unsharded result passes through as a copy.
         """
         parts = list(parts)
         if not parts:
@@ -326,6 +328,15 @@ class ExperimentResult:
             raise ValueError(
                 f"{first.experiment}: mixing sharded and unsharded results")
 
+        for part in parts[1:]:
+            differing = sorted(
+                key for key in set(first.metadata) | set(part.metadata)
+                if key not in ("shard", "store_hits")
+                and part.metadata.get(key) != first.metadata.get(key))
+            if differing:
+                raise ValueError(
+                    f"{first.experiment}: shards come from different runs "
+                    f"(metadata {differing} differ)")
         totals = {int(part.shard["sweep_points"]) for part in parts}
         if len(totals) != 1:
             raise ValueError(

@@ -2,9 +2,17 @@
 
 Every function here is a declarative design space over the
 :mod:`repro.core.designspace` engine driven through the fluent
-:class:`repro.core.study.Study` pipeline — new scenarios should be written
-as :mod:`repro.workloads` plugins with their own design spaces rather than
-as new modules in this package.
+:class:`repro.core.study.Study` pipeline.  A sweep experiment function
+takes only domain arguments (sizes, frames, ``reduced``, inputs, operator
+lists) and returns its configured but unrun ``Study``: call ``.run()`` on
+it, or chain ``.backend(...)``, ``.energy(...)``, ``.store(...)`` and
+``.shard(...)`` first.  :func:`run_all` applies the run configuration to
+every registered study in one place (:mod:`repro.experiments.runner`).
+The adaptive :func:`fft_heterogeneous_search` is the exception: it drives
+``Study.search`` and returns its result.
+
+New scenarios should be written as :mod:`repro.workloads` plugins with
+their own design spaces rather than as new modules in this package.
 """
 from .ablations import multiplier_compensation_ablation, rounding_mode_ablation
 from .adders_study import adder_error_cost_study, default_figure_sweep

@@ -9,16 +9,15 @@ These go beyond the paper's own experiments:
 
 Both ablations run as declarative design spaces (bare-operator axis) over
 the :mod:`repro.core.designspace` engine with the ``"characterization"``
-workload plugin.
+workload plugin.  Each function returns its configured but unrun
+:class:`~repro.core.study.Study`; ``.run()`` produces the result.
 """
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
 from ..core.designspace import operator_axis
-from ..core.results import ExperimentResult
-from ..core.store import StoreLike
-from ..core.study import ShardLike, Study, SweepOutcome
+from ..core.study import Study, SweepOutcome
 from ..operators.adders import (
     RoundToNearestEvenAdder,
     RoundedAdder,
@@ -29,10 +28,7 @@ from ..operators.multipliers import AAMMultiplier, ABMMultiplier
 
 def multiplier_compensation_ablation(input_width: int = 16,
                                      error_samples: int = 50_000,
-                                     hardware_samples: int = 600,
-                                     workers: int = 1,
-                                     store: StoreLike = None,
-                                     shard: ShardLike = None) -> ExperimentResult:
+                                     hardware_samples: int = 600) -> Study:
     """AAM / ABM with and without their compensation and exact conversion."""
     variants = [
         ("AAM compensated", AAMMultiplier(input_width, compensation=True)),
@@ -57,7 +53,6 @@ def multiplier_compensation_ablation(input_width: int = 16,
             .workload("characterization", error_samples=error_samples,
                       hardware_samples=hardware_samples)
             .design_space(operator_axis([operator for _, operator in variants]))
-            .store(store)
             .experiment(
                 "ablation_compensation",
                 description=("Contribution of the compensation circuits (and "
@@ -66,18 +61,13 @@ def multiplier_compensation_ablation(input_width: int = 16,
                 columns=["variant", "operator", "mse_db", "ber", "bias",
                          "pdp_pj"],
                 metadata={"input_width": input_width})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))
 
 
 def rounding_mode_ablation(input_width: int = 16,
                            output_widths: Optional[Sequence[int]] = None,
                            error_samples: int = 50_000,
-                           hardware_samples: int = 600,
-                           workers: int = 1,
-                           store: StoreLike = None,
-                           shard: ShardLike = None) -> ExperimentResult:
+                           hardware_samples: int = 600) -> Study:
     """Truncation vs rounding vs round-to-nearest-even for data sizing."""
     if output_widths is None:
         output_widths = (14, 12, 10, 8, 6)
@@ -101,7 +91,6 @@ def rounding_mode_ablation(input_width: int = 16,
             .workload("characterization", error_samples=error_samples,
                       hardware_samples=hardware_samples)
             .design_space(operator_axis([operator for _, _, operator in points]))
-            .store(store)
             .experiment(
                 "ablation_rounding_mode",
                 description=("Effect of the LSB-elimination rounding mode on "
@@ -109,6 +98,4 @@ def rounding_mode_ablation(input_width: int = 16,
                 columns=["operator", "mode", "output_width", "mse_db", "bias",
                          "pdp_pj"],
                 metadata={"input_width": input_width})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))

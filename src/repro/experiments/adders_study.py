@@ -9,7 +9,8 @@ and 4a-4d.
 
 Implemented as a declarative design space (bare-operator axis) over the
 :mod:`repro.core.designspace` engine with the ``"characterization"``
-workload plugin.
+workload plugin.  :func:`adder_error_cost_study` returns the configured
+but unrun :class:`~repro.core.study.Study`; ``.run()`` regenerates the table.
 """
 from __future__ import annotations
 
@@ -24,9 +25,7 @@ from ..core.exploration import (
     sweep_truncated_adders,
     unique_by_name,
 )
-from ..core.results import ExperimentResult
-from ..core.store import StoreLike
-from ..core.study import ShardLike, Study, SweepOutcome
+from ..core.study import Study, SweepOutcome
 from ..operators.base import Operator
 
 
@@ -76,11 +75,8 @@ def adder_error_cost_study(input_width: int = 16,
                            operators: Optional[Sequence[Operator]] = None,
                            error_samples: int = 50_000,
                            hardware_samples: int = 800,
-                           reduced: bool = False,
-                           workers: int = 1,
-                           store: StoreLike = None,
-                           shard: ShardLike = None) -> ExperimentResult:
-    """Regenerate the data of Figures 3 (MSE) and 4 (BER) in one table."""
+                           reduced: bool = False) -> Study:
+    """The study behind Figures 3 (MSE) and 4 (BER), as one table."""
     if operators is None:
         operators = default_figure_sweep(input_width, reduced=reduced)
 
@@ -100,7 +96,6 @@ def adder_error_cost_study(input_width: int = 16,
             .workload("characterization", error_samples=error_samples,
                       hardware_samples=hardware_samples)
             .design_space(operator_axis(operators))
-            .store(store)
             .experiment(
                 "fig3_fig4_adders",
                 description=("16-bit adders: MSE/BER versus power, delay, PDP "
@@ -109,6 +104,4 @@ def adder_error_cost_study(input_width: int = 16,
                          "delay_ns", "pdp_pj", "area_um2"],
                 metadata={"input_width": input_width,
                           "error_samples": error_samples})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))

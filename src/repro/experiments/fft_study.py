@@ -12,18 +12,16 @@ joint sized + approximate adder space
 (:func:`~repro.core.designspace.joint_adder_space`), and
 :func:`fft_joint_frontier` extracts the paper's headline
 quality-versus-energy Pareto frontier from it incrementally while the sweep
-runs.
+runs.  Each function returns its configured but unrun
+:class:`~repro.core.study.Study` (energy charged by a fresh Equation 1
+model); ``.run()`` produces the result.
 """
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from ..core.backends import BackendLike
-from ..core.datapath import DatapathEnergyModel
 from ..core.designspace import DesignSpace, adder_axis, joint_adder_space, multiplier_axis
-from ..core.results import ExperimentResult
-from ..core.store import StoreLike
-from ..core.study import ShardLike, Study, SweepOutcome
+from ..core.study import Study, SweepOutcome
 from ..operators.adders import ExactAdder
 from ..operators.base import AdderOperator, MultiplierOperator
 from ..operators.multipliers import AAMMultiplier, ABMMultiplier, TruncatedMultiplier
@@ -43,13 +41,8 @@ def default_fft_adder_sweep(input_width: int = 16,
 
 def fft_adder_sweep(size: int = 32, input_width: int = 16,
                     adders: Optional[Sequence[AdderOperator]] = None,
-                    frames: int = 8, reduced: bool = False,
-                    energy_model: Optional[DatapathEnergyModel] = None,
-                    workers: int = 1,
-                    backend: BackendLike = "direct",
-                    store: StoreLike = None,
-                    shard: ShardLike = None) -> ExperimentResult:
-    """Regenerate Figure 5 (PDP of FFT-32 versus output PSNR, adders swept)."""
+                    frames: int = 8, reduced: bool = False) -> Study:
+    """The study behind Figure 5 (FFT-32 energy versus PSNR, adders swept)."""
     if adders is None:
         space = fft_design_space(input_width, reduced=reduced)
     else:
@@ -68,9 +61,7 @@ def fft_adder_sweep(size: int = 32, input_width: int = 16,
     return (Study()
             .workload("fft", size=size, data_width=input_width, frames=frames)
             .design_space(space)
-            .backend(backend)
-            .energy(energy_model)
-            .store(store)
+            .energy()
             .experiment(
                 "fig5_fft_adders",
                 description=("FFT-32 on 16-bit data: total datapath energy "
@@ -79,18 +70,11 @@ def fft_adder_sweep(size: int = 32, input_width: int = 16,
                 columns=["adder", "multiplier", "psnr_db", "adder_energy_pj",
                          "multiplier_energy_pj", "total_energy_pj"],
                 metadata={"fft_size": size, "frames": frames})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))
 
 
 def fft_joint_frontier(size: int = 32, input_width: int = 16,
-                       frames: int = 8, reduced: bool = False,
-                       energy_model: Optional[DatapathEnergyModel] = None,
-                       workers: int = 1,
-                       backend: BackendLike = "direct",
-                       store: StoreLike = None,
-                       shard: ShardLike = None) -> ExperimentResult:
+                       frames: int = 8, reduced: bool = False) -> Study:
     """The paper's headline comparison on the FFT: a joint Pareto frontier.
 
     Sweeps the unified design space — functionally approximate adders and
@@ -120,9 +104,7 @@ def fft_joint_frontier(size: int = 32, input_width: int = 16,
     return (Study()
             .workload("fft", size=size, data_width=input_width, frames=frames)
             .design_space(space)
-            .backend(backend)
-            .energy(energy_model)
-            .store(store)
+            .energy()
             .pareto(quality="psnr_db", cost="total_energy_pj")
             .experiment(
                 "fft_joint_frontier",
@@ -135,20 +117,13 @@ def fft_joint_frontier(size: int = 32, input_width: int = 16,
                          "multiplier_energy_pj", "total_energy_pj"],
                 metadata={"fft_size": size, "frames": frames,
                           "design_points": len(space)})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))
 
 
 def fft_multiplier_comparison(size: int = 32, input_width: int = 16,
                               multipliers: Optional[Sequence[MultiplierOperator]] = None,
-                              frames: int = 8,
-                              energy_model: Optional[DatapathEnergyModel] = None,
-                              workers: int = 1,
-                              backend: BackendLike = "direct",
-                              store: StoreLike = None,
-                              shard: ShardLike = None) -> ExperimentResult:
-    """Regenerate Table II (FFT-32 accuracy/energy with fixed-width multipliers)."""
+                              frames: int = 8) -> Study:
+    """The study behind Table II (FFT-32 with fixed-width multipliers)."""
     if multipliers is None:
         multipliers = [TruncatedMultiplier(input_width, input_width),
                        AAMMultiplier(input_width), ABMMultiplier(input_width)]
@@ -166,9 +141,7 @@ def fft_multiplier_comparison(size: int = 32, input_width: int = 16,
     return (Study()
             .workload("fft", size=size, data_width=input_width, frames=frames)
             .design_space(space)
-            .backend(backend)
-            .energy(energy_model)
-            .store(store)
+            .energy()
             .experiment(
                 "table2_fft_multipliers",
                 description=("FFT-32 with 16-bit fixed-width multipliers and "
@@ -177,6 +150,4 @@ def fft_multiplier_comparison(size: int = 32, input_width: int = 16,
                 columns=["multiplier", "psnr_db", "multiplier_pdp_pj",
                          "total_energy_pj"],
                 metadata={"fft_size": size, "frames": frames})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))

@@ -10,7 +10,9 @@ datapath energy of the run.
 Implemented as declarative design spaces over the
 :mod:`repro.core.designspace` engine with the ``"hevc"`` workload plugin;
 Table III charges multiplications at the constant-coefficient rate because
-the filter taps are small constants.
+the filter taps are small constants.  Each table function returns its
+configured but unrun :class:`~repro.core.study.Study` (energy charged by a
+fresh Equation 1 model); ``.run()`` produces the table.
 """
 from __future__ import annotations
 
@@ -19,12 +21,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..apps.images import synthetic_image
-from ..core.backends import BackendLike
-from ..core.datapath import DatapathEnergyModel
 from ..core.designspace import DesignSpace, adder_axis, multiplier_point
-from ..core.results import ExperimentResult
-from ..core.store import StoreLike
-from ..core.study import ShardLike, Study, SweepOutcome
+from ..core.study import Study, SweepOutcome
 from ..operators.adders import (
     ACAAdder,
     ETAIVAdder,
@@ -71,13 +69,8 @@ def hevc_multiplier_space(
 
 
 def hevc_adder_table(image: Optional[np.ndarray] = None, image_size: int = 128,
-                     adders: Sequence[AdderOperator] = TABLE3_ADDERS,
-                     energy_model: Optional[DatapathEnergyModel] = None,
-                     workers: int = 1,
-                     backend: BackendLike = "direct",
-                     store: StoreLike = None,
-                     shard: ShardLike = None) -> ExperimentResult:
-    """Regenerate Table III (MC filter with approximate / data-sized adders)."""
+                     adders: Sequence[AdderOperator] = TABLE3_ADDERS) -> Study:
+    """The study behind Table III (MC filter with approximate / data-sized adders)."""
     if image is None:
         image = synthetic_image(image_size)
 
@@ -94,9 +87,7 @@ def hevc_adder_table(image: Optional[np.ndarray] = None, image_size: int = 128,
     return (Study()
             .workload("hevc", image=image)
             .design_space(hevc_adder_space(adders))
-            .backend(backend)
-            .energy(energy_model)
-            .store(store)
+            .energy()
             .constant_coefficient()
             .experiment(
                 "table3_hevc_adders",
@@ -106,19 +97,13 @@ def hevc_adder_table(image: Optional[np.ndarray] = None, image_size: int = 128,
                 columns=["adder", "mssim_percent", "adder_energy_pj",
                          "mult_energy_pj", "total_energy_pj"],
                 metadata={"image_pixels": int(image.size)})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))
 
 
 def hevc_multiplier_table(image: Optional[np.ndarray] = None, image_size: int = 128,
-                          multipliers: Sequence[MultiplierOperator] = TABLE4_MULTIPLIERS,
-                          energy_model: Optional[DatapathEnergyModel] = None,
-                          workers: int = 1,
-                          backend: BackendLike = "direct",
-                          store: StoreLike = None,
-                          shard: ShardLike = None) -> ExperimentResult:
-    """Regenerate Table IV (MC filter with fixed-width multipliers swapped)."""
+                          multipliers: Sequence[MultiplierOperator] = TABLE4_MULTIPLIERS
+                          ) -> Study:
+    """The study behind Table IV (MC filter with fixed-width multipliers swapped)."""
     if image is None:
         image = synthetic_image(image_size)
 
@@ -135,9 +120,7 @@ def hevc_multiplier_table(image: Optional[np.ndarray] = None, image_size: int = 
     return (Study()
             .workload("hevc", image=image)
             .design_space(hevc_multiplier_space(multipliers))
-            .backend(backend)
-            .energy(energy_model)
-            .store(store)
+            .energy()
             .experiment(
                 "table4_hevc_multipliers",
                 description=("HEVC motion-compensation filter with 16-bit "
@@ -146,6 +129,4 @@ def hevc_multiplier_table(image: Optional[np.ndarray] = None, image_size: int = 
                 columns=["multiplier", "mssim_percent", "mult_energy_pj",
                          "adder_energy_pj", "total_energy_pj"],
                 metadata={"image_pixels": int(image.size)})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))

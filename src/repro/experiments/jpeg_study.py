@@ -10,6 +10,9 @@ The sweep is expressed as a declarative design space over
 :mod:`repro.core.designspace` — sized and approximate adder axes — and
 :func:`jpeg_joint_frontier` extracts the joint MSSIM-versus-energy Pareto
 frontier (the paper's "hidden cost" comparison on the JPEG workload).
+Each function returns its configured but unrun
+:class:`~repro.core.study.Study` (energy charged by a fresh Equation 1
+model); ``.run()`` produces the result.
 """
 from __future__ import annotations
 
@@ -18,17 +21,13 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..apps.images import synthetic_image
-from ..core.backends import BackendLike
-from ..core.datapath import DatapathEnergyModel
 from ..core.designspace import DesignSpace, adder_axis, joint_adder_space
 from ..core.exploration import (
     sweep_aca_adders,
     sweep_etaiv_adders,
     sweep_rcaapx_adders,
 )
-from ..core.results import ExperimentResult
-from ..core.store import StoreLike
-from ..core.study import ShardLike, Study, SweepOutcome
+from ..core.study import Study, SweepOutcome
 from ..operators.base import AdderOperator
 
 
@@ -57,13 +56,8 @@ def default_jpeg_adder_sweep(input_width: int = 16,
 def jpeg_adder_sweep(image: Optional[np.ndarray] = None, quality: int = 90,
                      input_width: int = 16,
                      adders: Optional[Sequence[AdderOperator]] = None,
-                     image_size: int = 128, reduced: bool = False,
-                     energy_model: Optional[DatapathEnergyModel] = None,
-                     workers: int = 1,
-                     backend: BackendLike = "direct",
-                     store: StoreLike = None,
-                     shard: ShardLike = None) -> ExperimentResult:
-    """Regenerate Figure 6 (DCT energy versus JPEG MSSIM, adders swept)."""
+                     image_size: int = 128, reduced: bool = False) -> Study:
+    """The study behind Figure 6 (DCT energy versus JPEG MSSIM, adders swept)."""
     if image is None:
         image = synthetic_image(image_size)
     if adders is None:
@@ -85,9 +79,7 @@ def jpeg_adder_sweep(image: Optional[np.ndarray] = None, quality: int = 90,
             .workload("jpeg", quality=quality, image=image,
                       data_width=input_width)
             .design_space(space)
-            .backend(backend)
-            .energy(energy_model)
-            .store(store)
+            .energy()
             .experiment(
                 "fig6_jpeg",
                 description=("JPEG encoding (quality 90): DCT datapath energy "
@@ -96,19 +88,12 @@ def jpeg_adder_sweep(image: Optional[np.ndarray] = None, quality: int = 90,
                 columns=["adder", "multiplier", "mssim", "dct_energy_pj",
                          "energy_per_mac_pj"],
                 metadata={"quality": quality, "image_pixels": int(image.size)})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))
 
 
 def jpeg_joint_frontier(image: Optional[np.ndarray] = None, quality: int = 90,
                         input_width: int = 16, image_size: int = 128,
-                        reduced: bool = False,
-                        energy_model: Optional[DatapathEnergyModel] = None,
-                        workers: int = 1,
-                        backend: BackendLike = "direct",
-                        store: StoreLike = None,
-                        shard: ShardLike = None) -> ExperimentResult:
+                        reduced: bool = False) -> Study:
     """The paper's headline comparison on JPEG: a joint Pareto frontier.
 
     Mirrors :func:`repro.experiments.fft_study.fft_joint_frontier` on the
@@ -139,9 +124,7 @@ def jpeg_joint_frontier(image: Optional[np.ndarray] = None, quality: int = 90,
             .workload("jpeg", quality=quality, image=image,
                       data_width=input_width)
             .design_space(space)
-            .backend(backend)
-            .energy(energy_model)
-            .store(store)
+            .energy()
             .pareto(quality="mssim", cost="total_energy_pj")
             .experiment(
                 "jpeg_joint_frontier",
@@ -154,6 +137,4 @@ def jpeg_joint_frontier(image: Optional[np.ndarray] = None, quality: int = 90,
                          "multiplier_energy_pj", "total_energy_pj"],
                 metadata={"quality": quality, "image_pixels": int(image.size),
                           "design_points": len(space)})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))

@@ -9,18 +9,17 @@ several generated point clouds (the paper uses 5 sets of 5000 points around
 
 Implemented as declarative design spaces over the
 :mod:`repro.core.designspace` engine with the ``"kmeans"`` workload plugin.
+Each table function returns its configured but unrun
+:class:`~repro.core.study.Study` (energy charged by a fresh Equation 1
+model); ``.run()`` produces the table.
 """
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
 from ..apps.kmeans import PointCloud, generate_point_cloud
-from ..core.backends import BackendLike
-from ..core.datapath import DatapathEnergyModel
 from ..core.designspace import DesignSpace, adder_axis, multiplier_point
-from ..core.results import ExperimentResult
-from ..core.store import StoreLike
-from ..core.study import ShardLike, Study, SweepOutcome
+from ..core.study import Study, SweepOutcome
 from ..operators.adders import (
     ACAAdder,
     ETAIVAdder,
@@ -81,13 +80,8 @@ def kmeans_multiplier_space(
 def kmeans_adder_table(clouds: Optional[Sequence[PointCloud]] = None,
                        adders: Sequence[AdderOperator] = TABLE5_ADDERS,
                        runs: int = 3, points_per_run: int = 2000,
-                       iterations: int = 8,
-                       energy_model: Optional[DatapathEnergyModel] = None,
-                       workers: int = 1,
-                       backend: BackendLike = "direct",
-                       store: StoreLike = None,
-                       shard: ShardLike = None) -> ExperimentResult:
-    """Regenerate Table V (distance computation with the adders swapped)."""
+                       iterations: int = 8) -> Study:
+    """The study behind Table V (distance computation with the adders swapped)."""
     if clouds is None:
         clouds = default_point_clouds(runs, points_per_run)
 
@@ -104,9 +98,7 @@ def kmeans_adder_table(clouds: Optional[Sequence[PointCloud]] = None,
     return (Study()
             .workload("kmeans", clouds=tuple(clouds), iterations=iterations)
             .design_space(kmeans_adder_space(adders))
-            .backend(backend)
-            .energy(energy_model)
-            .store(store)
+            .energy()
             .experiment(
                 "table5_kmeans_adders",
                 description=("K-means distance computation with 16-bit adders "
@@ -116,21 +108,14 @@ def kmeans_adder_table(clouds: Optional[Sequence[PointCloud]] = None,
                          "mult_energy_pj", "total_energy_pj"],
                 metadata={"runs": len(clouds),
                           "points_per_run": int(clouds[0].points.shape[0])})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))
 
 
 def kmeans_multiplier_table(clouds: Optional[Sequence[PointCloud]] = None,
                             multipliers: Sequence[MultiplierOperator] = TABLE6_MULTIPLIERS,
                             runs: int = 3, points_per_run: int = 2000,
-                            iterations: int = 8,
-                            energy_model: Optional[DatapathEnergyModel] = None,
-                            workers: int = 1,
-                            backend: BackendLike = "direct",
-                            store: StoreLike = None,
-                            shard: ShardLike = None) -> ExperimentResult:
-    """Regenerate Table VI (distance computation with the multipliers swapped)."""
+                            iterations: int = 8) -> Study:
+    """The study behind Table VI (distance computation, multipliers swapped)."""
     if clouds is None:
         clouds = default_point_clouds(runs, points_per_run)
 
@@ -147,9 +132,7 @@ def kmeans_multiplier_table(clouds: Optional[Sequence[PointCloud]] = None,
     return (Study()
             .workload("kmeans", clouds=tuple(clouds), iterations=iterations)
             .design_space(kmeans_multiplier_space(multipliers))
-            .backend(backend)
-            .energy(energy_model)
-            .store(store)
+            .energy()
             .experiment(
                 "table6_kmeans_multipliers",
                 description=("K-means distance computation with 16-bit "
@@ -159,6 +142,4 @@ def kmeans_multiplier_table(clouds: Optional[Sequence[PointCloud]] = None,
                          "adder_energy_pj", "total_energy_pj"],
                 metadata={"runs": len(clouds),
                           "points_per_run": int(clouds[0].points.shape[0])})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))

@@ -6,7 +6,8 @@ PDP, area, MSE (dB) and BER — the exact columns of Table I.
 
 Implemented as a declarative design space (bare-operator axis) over the
 :mod:`repro.core.designspace` engine with the ``"characterization"``
-workload plugin.
+workload plugin.  :func:`multiplier_comparison` returns the configured
+but unrun :class:`~repro.core.study.Study`; ``.run()`` regenerates the table.
 """
 from __future__ import annotations
 
@@ -14,20 +15,15 @@ from typing import Optional, Sequence
 
 from ..core.designspace import operator_axis
 from ..core.exploration import default_multiplier_set
-from ..core.results import ExperimentResult
-from ..core.store import StoreLike
-from ..core.study import ShardLike, Study, SweepOutcome
+from ..core.study import Study, SweepOutcome
 from ..operators.base import Operator
 
 
 def multiplier_comparison(input_width: int = 16,
                           operators: Optional[Sequence[Operator]] = None,
                           error_samples: int = 50_000,
-                          hardware_samples: int = 800,
-                          workers: int = 1,
-                          store: StoreLike = None,
-                          shard: ShardLike = None) -> ExperimentResult:
-    """Regenerate Table I."""
+                          hardware_samples: int = 800) -> Study:
+    """The study behind Table I."""
     if operators is None:
         operators = default_multiplier_set(input_width)
 
@@ -46,7 +42,6 @@ def multiplier_comparison(input_width: int = 16,
             .workload("characterization", error_samples=error_samples,
                       hardware_samples=hardware_samples)
             .design_space(operator_axis(operators))
-            .store(store)
             .experiment(
                 "table1_multipliers",
                 description=("16-bit fixed-width multipliers: power, delay, "
@@ -55,6 +50,4 @@ def multiplier_comparison(input_width: int = 16,
                          "area_um2", "mse_db", "ber_percent"],
                 metadata={"input_width": input_width,
                           "error_samples": error_samples})
-            .rows(row)
-            .shard(shard)
-            .run(workers=workers))
+            .rows(row))

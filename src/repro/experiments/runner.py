@@ -6,10 +6,13 @@ and returns a :class:`RunAllResult`; with an output directory it also writes
 one JSON file per experiment plus a machine-readable ``manifest.json``.
 
 The suite is organised as a *registry* (:data:`EXPERIMENTS`): one
-:class:`ExperimentSpec` per reproduced table/figure, each a closure over a
-shared :class:`RunConfig` (sweep density, workers, backend, store, shard).
-That registry is what the ``python -m repro`` CLI lists, selects from and
-shards over:
+:class:`ExperimentSpec` per reproduced table/figure, built from a shared
+:class:`RunConfig` (sweep density, workers, backend, energy model, store,
+shard).  A sweep experiment function returns its configured but unrun
+:class:`~repro.core.study.Study`; the registry entry only maps the run's
+densities to that function's arguments, and one helper applies the rest of
+the run configuration to every study before running it.  That registry is
+what the ``python -m repro`` CLI lists, selects from and shards over:
 
 * ``experiments=`` selects a subset by name (``run_all`` order preserved);
 * ``shard=(i, n)`` (or ``"i/n"``) partitions every experiment's design
@@ -35,7 +38,7 @@ from ..core.backends import BackendLike, backend_spec
 from ..core.datapath import DatapathEnergyModel
 from ..core.results import ExperimentResult, ResultBundle
 from ..core.store import ResultStore, StoreLike
-from ..core.study import ShardLike, parse_shard, resolve_workers
+from ..core.study import ShardLike, Study, parse_shard, resolve_workers
 from .ablations import multiplier_compensation_ablation, rounding_mode_ablation
 from .adders_study import adder_error_cost_study
 from .fft_study import fft_adder_sweep, fft_joint_frontier, fft_multiplier_comparison
@@ -102,143 +105,101 @@ class ExperimentSpec:
     shardable: bool = True
 
 
-EXPERIMENTS: Dict[str, ExperimentSpec] = {}
+def _sweep(study: Callable[[RunConfig], Study]
+           ) -> Callable[[RunConfig], ExperimentResult]:
+    """The ``build`` of a sweep experiment: its study under the run config.
+
+    ``study`` maps the run's sweep densities to the experiment function's
+    domain arguments; the backend, energy model, store, shard and workers
+    are applied here, once, for every sweep in the registry.
+    """
+    def build(cfg: RunConfig) -> ExperimentResult:
+        return (study(cfg)
+                .backend(cfg.backend)
+                .energy(cfg.energy_model)
+                .store(cfg.store)
+                .shard(cfg.shard)
+                .run(workers=cfg.workers))
+    return build
 
 
-def _register(name: str, title: str, ablation: bool = False,
-              shardable: bool = True):
-    def decorator(build: Callable[[RunConfig], ExperimentResult]):
-        EXPERIMENTS[name] = ExperimentSpec(name=name, title=title,
-                                           build=build, ablation=ablation,
-                                           shardable=shardable)
-        return build
-    return decorator
-
-
-@_register("fig3_fig4_adders",
-           "16-bit adders: error metrics versus hardware cost (Figures 3-4)")
-def _build_adders(cfg: RunConfig) -> ExperimentResult:
-    return adder_error_cost_study(error_samples=cfg.error_samples,
-                                  reduced=cfg.reduced, workers=cfg.workers,
-                                  store=cfg.store, shard=cfg.shard)
-
-
-@_register("table1_multipliers",
-           "16-bit fixed-width multipliers characterised (Table I)")
-def _build_multipliers(cfg: RunConfig) -> ExperimentResult:
-    return multiplier_comparison(error_samples=cfg.error_samples,
-                                 workers=cfg.workers, store=cfg.store,
-                                 shard=cfg.shard)
-
-
-@_register("fig5_fft_adders",
-           "FFT-32 energy versus PSNR with the adders swept (Figure 5)")
-def _build_fft_adders(cfg: RunConfig) -> ExperimentResult:
-    return fft_adder_sweep(reduced=cfg.reduced, energy_model=cfg.energy_model,
-                           frames=cfg.frames, workers=cfg.workers,
-                           backend=cfg.backend, store=cfg.store,
-                           shard=cfg.shard)
-
-
-@_register("table2_fft_multipliers",
-           "FFT-32 with fixed-width multipliers swapped (Table II)")
-def _build_fft_multipliers(cfg: RunConfig) -> ExperimentResult:
-    return fft_multiplier_comparison(energy_model=cfg.energy_model,
-                                     frames=cfg.frames, workers=cfg.workers,
-                                     backend=cfg.backend, store=cfg.store,
-                                     shard=cfg.shard)
-
-
-@_register("fft_joint_frontier",
-           "FFT joint approximate-versus-sized Pareto frontier (headline)")
-def _build_fft_frontier(cfg: RunConfig) -> ExperimentResult:
-    return fft_joint_frontier(reduced=cfg.reduced,
-                              energy_model=cfg.energy_model,
-                              frames=cfg.frames, workers=cfg.workers,
-                              backend=cfg.backend, store=cfg.store,
-                              shard=cfg.shard)
-
-
-@_register("fig6_jpeg",
-           "JPEG DCT energy versus MSSIM with the adders swept (Figure 6)")
-def _build_jpeg(cfg: RunConfig) -> ExperimentResult:
-    return jpeg_adder_sweep(image_size=cfg.image_size, reduced=cfg.reduced,
-                            energy_model=cfg.energy_model,
-                            workers=cfg.workers, backend=cfg.backend,
-                            store=cfg.store, shard=cfg.shard)
-
-
-@_register("jpeg_joint_frontier",
-           "JPEG joint approximate-versus-sized Pareto frontier (headline)")
-def _build_jpeg_frontier(cfg: RunConfig) -> ExperimentResult:
-    return jpeg_joint_frontier(image_size=cfg.image_size, reduced=cfg.reduced,
-                               energy_model=cfg.energy_model,
-                               workers=cfg.workers, backend=cfg.backend,
-                               store=cfg.store, shard=cfg.shard)
-
-
-@_register("table3_hevc_adders",
-           "HEVC motion compensation with the adders swapped (Table III)")
-def _build_hevc_adders(cfg: RunConfig) -> ExperimentResult:
-    return hevc_adder_table(image_size=cfg.image_size,
-                            energy_model=cfg.energy_model,
-                            workers=cfg.workers, backend=cfg.backend,
-                            store=cfg.store, shard=cfg.shard)
-
-
-@_register("table4_hevc_multipliers",
-           "HEVC motion compensation with the multipliers swapped (Table IV)")
-def _build_hevc_multipliers(cfg: RunConfig) -> ExperimentResult:
-    return hevc_multiplier_table(image_size=cfg.image_size,
-                                 energy_model=cfg.energy_model,
-                                 workers=cfg.workers, backend=cfg.backend,
-                                 store=cfg.store, shard=cfg.shard)
-
-
-@_register("table5_kmeans_adders",
-           "K-means distance datapath with the adders swapped (Table V)")
-def _build_kmeans_adders(cfg: RunConfig) -> ExperimentResult:
-    return kmeans_adder_table(runs=cfg.kmeans_runs,
-                              points_per_run=cfg.kmeans_points,
-                              energy_model=cfg.energy_model,
-                              workers=cfg.workers, backend=cfg.backend,
-                              store=cfg.store, shard=cfg.shard)
-
-
-@_register("table6_kmeans_multipliers",
-           "K-means distance datapath with the multipliers swapped (Table VI)")
-def _build_kmeans_multipliers(cfg: RunConfig) -> ExperimentResult:
-    return kmeans_multiplier_table(runs=cfg.kmeans_runs,
-                                   points_per_run=cfg.kmeans_points,
-                                   energy_model=cfg.energy_model,
-                                   workers=cfg.workers, backend=cfg.backend,
-                                   store=cfg.store, shard=cfg.shard)
-
-
-@_register("fft_heterogeneous_search",
-           "Per-stage heterogeneous FFT datapaths found adaptively (search)",
-           shardable=False)
-def _build_heterogeneous_search(cfg: RunConfig) -> ExperimentResult:
+def _search(cfg: RunConfig) -> ExperimentResult:
+    # The search drives Study.search, not Study.run, so it takes the run
+    # configuration as arguments of its own.
     return fft_heterogeneous_search(reduced=cfg.reduced, workers=cfg.workers,
                                     backend=cfg.backend, store=cfg.store)
 
 
-@_register("ablation_compensation",
-           "AAM/ABM compensation-circuit contribution (extension ablation)",
-           ablation=True)
-def _build_ablation_compensation(cfg: RunConfig) -> ExperimentResult:
-    return multiplier_compensation_ablation(error_samples=cfg.error_samples,
-                                            workers=cfg.workers,
-                                            store=cfg.store, shard=cfg.shard)
-
-
-@_register("ablation_rounding_mode",
-           "LSB-elimination rounding-mode comparison (extension ablation)",
-           ablation=True)
-def _build_ablation_rounding(cfg: RunConfig) -> ExperimentResult:
-    return rounding_mode_ablation(error_samples=cfg.error_samples,
-                                  workers=cfg.workers, store=cfg.store,
-                                  shard=cfg.shard)
+EXPERIMENTS: Dict[str, ExperimentSpec] = {spec.name: spec for spec in (
+    ExperimentSpec(
+        "fig3_fig4_adders",
+        "16-bit adders: error metrics versus hardware cost (Figures 3-4)",
+        _sweep(lambda cfg: adder_error_cost_study(
+            error_samples=cfg.error_samples, reduced=cfg.reduced))),
+    ExperimentSpec(
+        "table1_multipliers",
+        "16-bit fixed-width multipliers characterised (Table I)",
+        _sweep(lambda cfg: multiplier_comparison(
+            error_samples=cfg.error_samples))),
+    ExperimentSpec(
+        "fig5_fft_adders",
+        "FFT-32 energy versus PSNR with the adders swept (Figure 5)",
+        _sweep(lambda cfg: fft_adder_sweep(
+            reduced=cfg.reduced, frames=cfg.frames))),
+    ExperimentSpec(
+        "table2_fft_multipliers",
+        "FFT-32 with fixed-width multipliers swapped (Table II)",
+        _sweep(lambda cfg: fft_multiplier_comparison(frames=cfg.frames))),
+    ExperimentSpec(
+        "fft_joint_frontier",
+        "FFT joint approximate-versus-sized Pareto frontier (headline)",
+        _sweep(lambda cfg: fft_joint_frontier(
+            reduced=cfg.reduced, frames=cfg.frames))),
+    ExperimentSpec(
+        "fig6_jpeg",
+        "JPEG DCT energy versus MSSIM with the adders swept (Figure 6)",
+        _sweep(lambda cfg: jpeg_adder_sweep(
+            image_size=cfg.image_size, reduced=cfg.reduced))),
+    ExperimentSpec(
+        "jpeg_joint_frontier",
+        "JPEG joint approximate-versus-sized Pareto frontier (headline)",
+        _sweep(lambda cfg: jpeg_joint_frontier(
+            image_size=cfg.image_size, reduced=cfg.reduced))),
+    ExperimentSpec(
+        "table3_hevc_adders",
+        "HEVC motion compensation with the adders swapped (Table III)",
+        _sweep(lambda cfg: hevc_adder_table(image_size=cfg.image_size))),
+    ExperimentSpec(
+        "table4_hevc_multipliers",
+        "HEVC motion compensation with the multipliers swapped (Table IV)",
+        _sweep(lambda cfg: hevc_multiplier_table(image_size=cfg.image_size))),
+    ExperimentSpec(
+        "table5_kmeans_adders",
+        "K-means distance datapath with the adders swapped (Table V)",
+        _sweep(lambda cfg: kmeans_adder_table(
+            runs=cfg.kmeans_runs, points_per_run=cfg.kmeans_points))),
+    ExperimentSpec(
+        "table6_kmeans_multipliers",
+        "K-means distance datapath with the multipliers swapped (Table VI)",
+        _sweep(lambda cfg: kmeans_multiplier_table(
+            runs=cfg.kmeans_runs, points_per_run=cfg.kmeans_points))),
+    ExperimentSpec(
+        "fft_heterogeneous_search",
+        "Per-stage heterogeneous FFT datapaths found adaptively (search)",
+        _search, shardable=False),
+    ExperimentSpec(
+        "ablation_compensation",
+        "AAM/ABM compensation-circuit contribution (extension ablation)",
+        _sweep(lambda cfg: multiplier_compensation_ablation(
+            error_samples=cfg.error_samples)),
+        ablation=True),
+    ExperimentSpec(
+        "ablation_rounding_mode",
+        "LSB-elimination rounding-mode comparison (extension ablation)",
+        _sweep(lambda cfg: rounding_mode_ablation(
+            error_samples=cfg.error_samples)),
+        ablation=True),
+)}
 
 
 def experiment_names(include_ablations: bool = True) -> List[str]:
@@ -416,7 +377,9 @@ def merge_run(inputs: Sequence[Union[str, Path, ResultBundle]],
     at their global sweep indices and its Pareto fronts are recomputed over
     the merged rows — the result is bit-identical to an unsharded run, and
     the disjoint-cover property is validated (a missing or duplicated shard
-    fails loudly).
+    fails loudly).  Inputs from different runs fail too: shard manifests
+    that disagree on ``reduced`` or ``backend``, or experiment results whose
+    metadata differ (see :meth:`ExperimentResult.merge_shards`).
 
     ``store`` additionally folds any ``.repro_store`` directories found
     inside the input directories into one persistent store, so a later
@@ -434,6 +397,20 @@ def merge_run(inputs: Sequence[Union[str, Path, ResultBundle]],
     if not any(bundle.results for bundle in bundles):
         raise ValueError("nothing to merge: no experiment results found in "
                          f"{[str(d) for d in directories] or 'the inputs'}")
+    # The run identity every shard manifest must agree on.
+    identities = set()
+    for directory in directories:
+        try:
+            manifest = json.loads((directory / "manifest.json").read_text())
+        except (OSError, ValueError):
+            continue
+        if isinstance(manifest, dict):
+            identities.add((bool(manifest.get("reduced", True)),
+                            str(manifest.get("backend", "direct"))))
+    if len(identities) > 1:
+        raise ValueError(
+            "cannot merge runs of different configurations: the manifests "
+            f"disagree on (reduced, backend): {sorted(identities)}")
     merged_store = ResultStore.of(store)
     if merged_store is not None:
         for directory in directories:
@@ -441,17 +418,8 @@ def merge_run(inputs: Sequence[Union[str, Path, ResultBundle]],
                 merged_store.absorb(ResultStore(candidate))
     merged = ResultBundle.merge(bundles)
     result = RunAllResult(results=merged.results, shard=None)
-    # Propagate the run identity from the first shard manifest, if any.
-    for directory in directories:
-        manifest_path = directory / "manifest.json"
-        try:
-            manifest = json.loads(manifest_path.read_text())
-        except (OSError, ValueError):
-            continue
-        if isinstance(manifest, dict):
-            result.backend = str(manifest.get("backend", result.backend))
-            result.reduced = bool(manifest.get("reduced", result.reduced))
-            break
+    if identities:
+        result.reduced, result.backend = identities.pop()
     if output_dir is not None:
         result.save_all(output_dir)
         result.save_manifest(output_dir)

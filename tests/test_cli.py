@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import experiment_names
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -42,6 +43,11 @@ def test_list_reports_the_registry(capsys):
     status, document, _ = run_cli(capsys, "list", "--no-ablations")
     assert status == 0
     assert all(not entry["ablation"] for entry in document["experiments"])
+
+    # `run` without names runs the whole registry, nothing more or less.
+    status, document, _ = run_cli(capsys, "run", "--reduced")
+    assert status == 0
+    assert sorted(document["experiments"]) == sorted(experiment_names())
 
 
 def test_no_command_prints_help_and_fails(capsys):

@@ -188,8 +188,8 @@ class TestJointFrontiers(object):
 
     @pytest.fixture(scope="class")
     def fft_result(self, energy_model):
-        return fft_joint_frontier(size=16, frames=2, reduced=True,
-                                  energy_model=energy_model)
+        return fft_joint_frontier(size=16, frames=2, reduced=True) \
+            .energy(energy_model).run()
 
     def test_fft_front_contains_both_axes(self, fft_result):
         front = fft_result.fronts["psnr_db_vs_total_energy_pj"]
@@ -208,17 +208,17 @@ class TestJointFrontiers(object):
                 assert row["multiplier"] == "MULt(16,16)"
 
     def test_fft_serial_and_parallel_fronts_identical(self, energy_model):
-        serial = fft_joint_frontier(size=16, frames=2, reduced=True,
-                                    energy_model=energy_model, workers=1)
-        parallel = fft_joint_frontier(size=16, frames=2, reduced=True,
-                                      energy_model=energy_model, workers=4)
+        serial = fft_joint_frontier(size=16, frames=2, reduced=True) \
+            .energy(energy_model).run(workers=1)
+        parallel = fft_joint_frontier(size=16, frames=2, reduced=True) \
+            .energy(energy_model).run(workers=4)
         assert serial.rows == parallel.rows
         key = "psnr_db_vs_total_energy_pj"
         assert serial.fronts[key].to_dict() == parallel.fronts[key].to_dict()
 
     def test_jpeg_joint_frontier_compares_both_axes(self, energy_model):
-        result = jpeg_joint_frontier(image_size=48, reduced=True,
-                                     energy_model=energy_model)
+        result = jpeg_joint_frontier(image_size=48, reduced=True) \
+            .energy(energy_model).run()
         # The joint comparison sweeps both populations ...
         assert {row["axis"] for row in result.rows} == \
             {AXIS_SIZED, AXIS_APPROXIMATE}

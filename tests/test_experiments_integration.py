@@ -42,12 +42,12 @@ def adder_study():
     operators += [ETAIVAdder(16, x) for x in (2, 4, 8)]
     operators += [RCAApxAdder(16, m, 1) for m in (4, 8, 12)]
     return adder_error_cost_study(operators=operators, error_samples=20_000,
-                                  hardware_samples=400)
+                                  hardware_samples=400).run()
 
 
 @pytest.fixture(scope="module")
 def table1():
-    return multiplier_comparison(error_samples=20_000, hardware_samples=400)
+    return multiplier_comparison(error_samples=20_000, hardware_samples=400).run()
 
 
 class TestFigure3And4(object):
@@ -150,7 +150,7 @@ class TestFftExperiments(object):
     def test_figure5_fxp_dominates_at_equal_psnr(self):
         adders = [TruncatedAdder(16, k) for k in (13, 11, 9)] \
             + [ACAAdder(16, 10), ETAIVAdder(16, 4), RCAApxAdder(16, 6, 1)]
-        result = fft_adder_sweep(adders=adders, frames=3)
+        result = fft_adder_sweep(adders=adders, frames=3).run()
         fxp = [r for r in result.rows if r["adder"].startswith("ADDt")]
         approx = [r for r in result.rows if not r["adder"].startswith("ADDt")]
         # For every approximate adder there is a FxP configuration with at
@@ -162,7 +162,7 @@ class TestFftExperiments(object):
             assert dominating, f"{row['adder']} not dominated"
 
     def test_table2_multiplier_comparison(self):
-        result = fft_multiplier_comparison(frames=3)
+        result = fft_multiplier_comparison(frames=3).run()
         mult = result.row_for("multiplier", "MULt(16,16)")
         aam = result.row_for("multiplier", "AAM(16)")
         abm = result.row_for("multiplier", "ABM(16)")
@@ -176,7 +176,7 @@ class TestJpegExperiment(object):
     def figure6(self, small_image):
         adders = [TruncatedAdder(16, k) for k in (14, 12, 10)] \
             + [ETAIVAdder(16, 8), RCAApxAdder(16, 6, 1)]
-        return jpeg_adder_sweep(image=small_image, adders=adders)
+        return jpeg_adder_sweep(image=small_image, adders=adders).run()
 
     def test_figure6_reduced_space(self):
         assert len(default_jpeg_adder_sweep(reduced=True)) >= 8
@@ -199,7 +199,7 @@ class TestJpegExperiment(object):
 
 class TestHevcExperiments(object):
     def test_table3_energy_overhead_of_approximate_adders(self, small_image):
-        result = hevc_adder_table(image=small_image)
+        result = hevc_adder_table(image=small_image).run()
         fxp = result.row_for("adder", "ADDt(16,10)")
         for name in ("ACA(16,12)", "ETAIV(16,4)", "RCAApx(16,6,3)"):
             approx = result.row_for("adder", name)
@@ -207,12 +207,12 @@ class TestHevcExperiments(object):
             assert approx["mult_energy_pj"] > 2.0 * fxp["mult_energy_pj"]
 
     def test_table3_mssim_levels(self, small_image):
-        result = hevc_adder_table(image=small_image)
+        result = hevc_adder_table(image=small_image).run()
         assert result.row_for("adder", "ADDt(16,10)")["mssim_percent"] > 95.0
         assert result.row_for("adder", "RCAApx(16,6,3)")["mssim_percent"] > 95.0
 
     def test_table4_aam_energy_overhead(self, small_image):
-        result = hevc_multiplier_table(image=small_image)
+        result = hevc_multiplier_table(image=small_image).run()
         mult = result.row_for("multiplier", "MULt(16,16)")
         aam = result.row_for("multiplier", "AAM(16)")
         assert aam["total_energy_pj"] > 1.4 * mult["total_energy_pj"]
@@ -229,7 +229,8 @@ class TestKmeansExperiments(object):
     def test_table5_high_accuracy_group(self, clouds):
         adders = (TruncatedAdder(16, 11), ACAAdder(16, 12), ETAIVAdder(16, 4),
                   RCAApxAdder(16, 6, 3))
-        result = kmeans_adder_table(clouds=clouds, adders=adders, iterations=5)
+        result = kmeans_adder_table(clouds=clouds, adders=adders,
+                                    iterations=5).run()
         for row in result.rows:
             assert row["success_rate_percent"] > 90.0
         fxp = result.row_for("adder", "ADDt(16,11)")
@@ -238,7 +239,7 @@ class TestKmeansExperiments(object):
                 > 1.5 * fxp["total_energy_pj"]
 
     def test_table6_multipliers(self, clouds):
-        result = kmeans_multiplier_table(clouds=clouds, iterations=5)
+        result = kmeans_multiplier_table(clouds=clouds, iterations=5).run()
         mult = result.row_for("multiplier", "MULt(16,16)")
         aam = result.row_for("multiplier", "AAM(16)")
         severe = result.row_for("multiplier", "MULt(16,4)")
@@ -251,7 +252,7 @@ class TestKmeansExperiments(object):
 class TestAblations(object):
     def test_compensation_ablation(self):
         result = multiplier_compensation_ablation(error_samples=15_000,
-                                                  hardware_samples=300)
+                                                  hardware_samples=300).run()
         rows = {row["variant"]: row for row in result.rows}
         assert rows["AAM compensated"]["mse_db"] < rows["AAM pruned only"]["mse_db"]
         assert rows["ABM exact conversion"]["mse_db"] \
@@ -260,7 +261,7 @@ class TestAblations(object):
     @pytest.fixture(scope="class")
     def rounding_ablation(self):
         return rounding_mode_ablation(error_samples=15_000,
-                                      hardware_samples=300)
+                                      hardware_samples=300).run()
 
     def test_rounding_mode_ablation_default_widths(self, rounding_ablation):
         assert len(rounding_ablation.rows) == 15  # 3 modes at each default width

@@ -261,7 +261,7 @@ def fronts_of(result):
 
 @pytest.mark.parametrize("build", [
     lambda workers: fft_heterogeneous_search(reduced=True, workers=workers),
-    lambda workers: fft_adder_sweep(reduced=True, frames=4, workers=workers),
+    lambda workers: fft_adder_sweep(reduced=True, frames=4).run(workers=workers),
 ], ids=["fft_heterogeneous_search", "fig5_fft_adders"])
 def test_serial_batch_matches_process_pool(build, monkeypatch):
     monkeypatch.delenv("REPRO_WORKERS", raising=False)

@@ -59,6 +59,37 @@ def test_experiment_registry_covers_the_whole_suite():
         experiment_names()[:-2]
 
 
+def test_run_config_reaches_every_sweep(monkeypatch, tmp_path):
+    """Every registered sweep runs under the whole run configuration."""
+    from repro.core.backends import DirectBackend
+    from repro.experiments import EXPERIMENTS, RunConfig
+
+    ran = []
+
+    def record(study, workers=1):
+        ran.append((study, workers))
+        return ExperimentResult(experiment="recorded", description="",
+                                columns=[])
+
+    monkeypatch.setattr(Study, "run", record)
+    cfg = RunConfig(reduced=True, workers=3, backend=DirectBackend(),
+                    store=ResultStore(tmp_path / "store"), shard=(1, 3),
+                    energy_model=DatapathEnergyModel(hardware_samples=200))
+    for name, spec in EXPERIMENTS.items():
+        if name == "fft_heterogeneous_search":
+            continue  # drives Study.search with its own arguments
+        ran.clear()
+        spec.build(cfg)
+        assert len(ran) == 1, name
+        study, workers = ran[0]
+        assert study._experiment == name
+        assert study._backend is cfg.backend, name
+        assert study._store is cfg.store, name
+        assert study._shard == cfg.shard, name
+        assert study._energy_model is cfg.energy_model, name
+        assert workers == cfg.workers, name
+
+
 # --------------------------------------------------------------------------- #
 # Partition properties
 # --------------------------------------------------------------------------- #
@@ -116,6 +147,21 @@ def test_merge_rejects_missing_and_overlapping_shards():
         other = ExperimentResult(experiment="other", description="",
                                  columns=list(parts[0].columns))
         ExperimentResult.merge_shards([parts[0], other])
+
+
+def test_merge_rejects_shards_of_different_densities(tmp_path):
+    """A reduced and a full shard of one experiment are not one run."""
+    experiment = ["table3_hevc_adders"]
+    parts = [run_all(output_dir=tmp_path / "reduced", reduced=True,
+                     shard="0/2", experiments=experiment),
+             run_all(output_dir=tmp_path / "full", reduced=False,
+                     shard="1/2", experiments=experiment)]
+    # The manifests disagree on `reduced` ...
+    with pytest.raises(ValueError, match="different configurations"):
+        merge_run([tmp_path / "reduced", tmp_path / "full"])
+    # ... and without manifests the results' metadata still differ.
+    with pytest.raises(ValueError, match="different runs"):
+        merge_run(parts)
 
 
 def test_run_all_shard_merge_round_trip(tmp_path):
