@@ -24,6 +24,7 @@ from .jpeg import (
 from .kmeans import (
     FixedPointKMeans,
     PointCloud,
+    exact_reference_labels,
     generate_point_cloud,
     kmeans_success_rate,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "FILTER_SHIFT",
     "FixedPointKMeans",
     "PointCloud",
+    "exact_reference_labels",
     "generate_point_cloud",
     "kmeans_success_rate",
     "synthetic_image",

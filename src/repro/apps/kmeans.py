@@ -12,7 +12,13 @@ Coordinates are represented as Q1.15 codes in ``[-1, 1)``; the squared
 distances are accumulated on the 16-bit datapath after re-alignment, exactly
 like the other kernels.  The distance computation is *stage-fused*: every
 centroid is evaluated in one batched context call per dimension, with the
-centroid coordinates broadcast over the points.
+centroid coordinates broadcast over the points; the exact centroid update
+is one ``np.bincount`` of sums and sizes per dimension.
+
+The exact run is fitted in one place, :func:`exact_reference_labels`.
+:func:`kmeans_success_rate` fits it per call unless handed its labels;
+the K-means workload fits it once per cloud for every point of a batch
+that shares the cloud, word length, iterations and backend.
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ..core.backends import BackendLike
 from ..core.context import ApproxContext
 from ..core.datapath import OperationCounts
 from ..metrics.clustering import success_rate
@@ -123,36 +130,65 @@ class FixedPointKMeans:
 
         Only the distance computation is instrumented — centroid updates are
         exact, as in the paper where the focus is the distance datapath.
+        A cluster left without points keeps its centre.
         """
-        start = self.context.counts
         centers = np.asarray(initial_centers, dtype=np.int64).copy()
+        if centers.shape[0] != self.clusters:
+            raise ValueError(
+                f"initial_centers has {centers.shape[0]} rows; expected one "
+                f"per cluster ({self.clusters})")
+        start = self.context.counts
         labels = np.zeros(points.shape[0], dtype=np.int64)
         for _ in range(self.iterations):
             labels = self.assign(points, centers)
-            for index in range(self.clusters):
-                members = points[labels == index]
-                if members.shape[0] > 0:
-                    centers[index] = np.round(members.mean(axis=0)).astype(np.int64)
+            sizes = np.bincount(labels, minlength=self.clusters)
+            filled = sizes > 0
+            # Integer coordinate sums stay far below 2**53, so the float64
+            # sums are exact and the means equal ``members.mean(axis=0)``.
+            for dim in range(points.shape[1]):
+                sums = np.bincount(labels, weights=points[:, dim],
+                                   minlength=self.clusters)
+                centers[filled, dim] = np.round(
+                    sums[filled] / sizes[filled]).astype(np.int64)
         return labels, centers, self.context.counts_since(start)
+
+
+def exact_reference_labels(cloud: PointCloud, data_width: int = 16,
+                           iterations: int = 10,
+                           backend: BackendLike = None) -> np.ndarray:
+    """Labels of the exact fixed-point run every candidate is scored against.
+
+    Exact operators on the ``data_width`` datapath, started from the
+    cloud's generating centres.  The K-means workload fits it once per
+    cloud and batch; :func:`kmeans_success_rate` fits it per call.
+    """
+    exact = FixedPointKMeans(
+        clusters=cloud.centers.shape[0], data_width=data_width,
+        iterations=iterations,
+        context=ApproxContext(data_width=data_width, backend=backend))
+    labels, _, _ = exact.fit(cloud.points, cloud.centers)
+    return labels
 
 
 def kmeans_success_rate(cloud: PointCloud,
                         context: Optional[ApproxContext] = None,
-                        iterations: int = 10) -> Tuple[float, OperationCounts]:
+                        iterations: int = 10,
+                        reference_labels: Optional[np.ndarray] = None
+                        ) -> Tuple[float, OperationCounts]:
     """Success rate of the approximate run against the exact fixed-point run.
 
     Both runs start from the same initial centroids (the generating centres
     are a natural common starting point), so the only difference is the
-    arithmetic of the distance computation.
+    arithmetic of the distance computation.  ``reference_labels`` reuses an
+    :func:`exact_reference_labels` result fitted on the same cloud, word
+    length and iterations; by default the exact run is fitted here.
     """
     candidate_context = context if context is not None else ApproxContext()
     width = candidate_context.data_width
+    if reference_labels is None:
+        reference_labels = exact_reference_labels(
+            cloud, width, iterations, backend=candidate_context.backend)
     clusters = cloud.centers.shape[0]
-    exact = FixedPointKMeans(clusters=clusters, data_width=width,
-                             iterations=iterations,
-                             context=candidate_context.exact_reference())
-    reference_labels, _, _ = exact.fit(cloud.points, cloud.centers)
-
     candidate = FixedPointKMeans(clusters=clusters, data_width=width,
                                  iterations=iterations,
                                  context=candidate_context)

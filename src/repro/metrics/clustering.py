@@ -25,6 +25,8 @@ def confusion_matrix(reference_labels: np.ndarray, labels: np.ndarray,
     cand = np.asarray(labels, dtype=np.int64)
     if ref.shape != cand.shape:
         raise ValueError("label arrays must have the same shape")
+    if ref.min(initial=0) < 0 or cand.min(initial=0) < 0:
+        raise ValueError("labels must be non-negative cluster indices")
     if clusters is None:
         clusters = int(max(ref.max(initial=0), cand.max(initial=0))) + 1
     matrix = np.zeros((clusters, clusters), dtype=np.int64)
@@ -46,7 +48,7 @@ def _greedy_assignment(matrix: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         cols.append(col)
         remaining[row, :] = -1.0
         remaining[:, col] = -1.0
-    return np.asarray(rows), np.asarray(cols)
+    return np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
 
 
 def match_labels(reference_labels: np.ndarray, labels: np.ndarray,
@@ -57,11 +59,11 @@ def match_labels(reference_labels: np.ndarray, labels: np.ndarray,
         rows, cols = _hungarian(-matrix)
     else:
         rows, cols = _greedy_assignment(matrix)
-    mapping = {int(col): int(row) for row, col in zip(rows, cols)}
-    cand = np.asarray(labels, dtype=np.int64)
-    remapped = np.array([mapping.get(int(label), int(label)) for label in cand],
-                        dtype=np.int64)
-    return remapped
+    # Candidate label ``col`` becomes ``row``; labels the matching leaves
+    # out keep their value.
+    lookup = np.arange(matrix.shape[0], dtype=np.int64)
+    lookup[cols] = rows
+    return lookup[np.asarray(labels, dtype=np.int64)]
 
 
 def success_rate(reference_labels: np.ndarray, labels: np.ndarray,
@@ -70,8 +72,10 @@ def success_rate(reference_labels: np.ndarray, labels: np.ndarray,
     """Fraction of points assigned to the correct (matched) cluster."""
     ref = np.asarray(reference_labels, dtype=np.int64)
     cand = np.asarray(labels, dtype=np.int64)
-    if not already_matched:
-        cand = match_labels(ref, cand, clusters)
+    if ref.shape != cand.shape:
+        raise ValueError("label arrays must have the same shape")
     if ref.size == 0:
         raise ValueError("label arrays are empty")
+    if not already_matched:
+        cand = match_labels(ref, cand, clusters)
     return float(np.mean(ref == cand))

@@ -11,7 +11,8 @@ workload without knowing its internals, serially or across a process pool.
 A workload may also override :meth:`Workload.run_many`, which the study
 hands every pending point of a serial sweep at once; the default loops over
 ``run``.  The FFT workload uses it to stack candidates that share a
-stimulus into one transform.
+stimulus into one transform, and the K-means workload to fit each exact
+reference once per cloud rather than once per point.
 
 Writing a new scenario is therefore a ~50-line plugin::
 
@@ -91,8 +92,10 @@ class Workload(ABC):
     hands it every pending point at once, and each process-pool worker
     calls it with a single point.  The default loops over :meth:`run`;
     override it when points can share work (the FFT workload stacks
-    candidates into one transform).  An override must return exactly what
-    ``run`` would return for each task, in task order.
+    candidates into one transform; the K-means workload shares the exact
+    reference fits).  An override must return exactly what ``run`` would
+    return for each task, in task order, and keep whatever it shares for
+    that one call only.
     """
 
     #: Registry name, e.g. ``"fft"`` — also the default spec prefix.

@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..apps.kmeans import PointCloud, generate_point_cloud, kmeans_success_rate
-from .base import OperatorMap, Workload, WorkloadResult
+from ..apps.kmeans import (
+    PointCloud,
+    exact_reference_labels,
+    generate_point_cloud,
+    kmeans_success_rate,
+)
+from .base import OperatorMap, Workload, WorkloadResult, WorkloadTask
 
 
 def _requantize_cloud(cloud: PointCloud, data_width: int) -> PointCloud:
@@ -29,6 +34,32 @@ def _requantize_cloud(cloud: PointCloud, data_width: int) -> PointCloud:
     return PointCloud(points=points, labels=cloud.labels, centers=centers)
 
 
+def _point_clouds(config: Mapping[str, object],
+                  data_width: int) -> Sequence[PointCloud]:
+    """The clouds a task clusters, on its ``data_width``-bit grid."""
+    clouds: Optional[Sequence[PointCloud]] = config.get("clouds")
+    if clouds is None:
+        runs = int(config["runs"])
+        if runs < 1:
+            raise ValueError(f"kmeans needs runs >= 1, got runs={runs}")
+        base_seed = int(config.get("seed", 0))
+        return [generate_point_cloud(int(config["points_per_run"]),
+                                     int(config["clusters"]),
+                                     seed=base_seed + run,
+                                     frac_bits=data_width - 1)
+                for run in range(runs)]
+    if len(clouds) == 0:
+        raise ValueError("kmeans needs at least one point cloud; "
+                         "clouds=() is empty")
+    return [_requantize_cloud(cloud, data_width) for cloud in clouds]
+
+
+def _cloud_key(cloud: PointCloud) -> tuple:
+    """What the exact fit reads of a cloud, by content."""
+    return tuple((array.dtype.str, array.shape, array.tobytes())
+                 for array in (cloud.points, cloud.centers))
+
+
 @dataclass(frozen=True)
 class KmeansWorkload(Workload):
     """Lloyd's K-means whose distance datapath uses the operators under test.
@@ -37,6 +68,11 @@ class KmeansWorkload(Workload):
     cluster as the exact fixed-point run, averaged over ``runs`` generated
     point clouds (seeded from the study seed unless explicit ``clouds`` are
     supplied).
+
+    :meth:`run_many` fits each exact reference once: tasks on an equal
+    cloud (compared by content), word length, iterations and backend share
+    it.  Each candidate still gets its own fit, counts and result,
+    identical to running the tasks one at a time.
     """
 
     runs: int = 3
@@ -58,28 +94,34 @@ class KmeansWorkload(Workload):
 
     def run(self, operators: OperatorMap, config: Mapping[str, object],
             rng: np.random.Generator) -> WorkloadResult:
-        width = int(config["data_width"])
-        clouds: Optional[Sequence[PointCloud]] = config.get("clouds")
-        if clouds is None:
-            base_seed = int(config.get("seed", 0))
-            clouds = [generate_point_cloud(int(config["points_per_run"]),
-                                           int(config["clusters"]),
-                                           seed=base_seed + run,
-                                           frac_bits=width - 1)
-                      for run in range(int(config["runs"]))]
-        elif width != 16:
-            clouds = [_requantize_cloud(cloud, width) for cloud in clouds]
-        rates = []
-        counts = None
-        for cloud in clouds:
-            rate, run_counts = kmeans_success_rate(
-                cloud, context=operators.context(data_width=width),
-                iterations=int(config["iterations"]))
-            rates.append(rate)
-            counts = run_counts
-        return WorkloadResult(
-            metrics={"success_rate": float(np.mean(rates))},
-            counts=counts,
-            details={"runs": len(clouds),
-                     "points_per_run": int(clouds[0].points.shape[0])},
-        )
+        return self.run_many([(operators, config, rng)])[0]
+
+    def run_many(self, tasks: Sequence[WorkloadTask]) -> List[WorkloadResult]:
+        references: Dict[tuple, np.ndarray] = {}
+        results = []
+        for operators, config, _ in tasks:
+            width = int(config["data_width"])
+            iterations = int(config["iterations"])
+            clouds = _point_clouds(config, width)
+            rates = []
+            counts = None
+            for cloud in clouds:
+                # Tasks on an equal cloud, word length, iterations and
+                # backend share one exact run.
+                key = (_cloud_key(cloud), width, iterations,
+                       id(operators.backend))
+                reference = references.get(key)
+                if reference is None:
+                    reference = references[key] = exact_reference_labels(
+                        cloud, width, iterations, backend=operators.backend)
+                rate, counts = kmeans_success_rate(
+                    cloud, context=operators.context(data_width=width),
+                    iterations=iterations, reference_labels=reference)
+                rates.append(rate)
+            results.append(WorkloadResult(
+                metrics={"success_rate": float(np.mean(rates))},
+                counts=counts,
+                details={"runs": len(clouds),
+                         "points_per_run": int(clouds[0].points.shape[0])},
+            ))
+        return results

@@ -21,7 +21,8 @@ from: one round of scalar-coefficient context calls per twiddle offset,
 matrix entry, filter tap or centroid.  The fused kernels must match them
 bit for bit, operation counts included.  :func:`seed_fft_workload_run` is
 the FFT workload as it ran before candidates were stacked: one forward per
-frame and per candidate.
+frame and per candidate.  :func:`seed_kmeans_workload_run` is the K-means
+workload as it ran before points shared their exact reference fits.
 
 :func:`seed_netlist_evaluate` and :func:`seed_monte_carlo_estimate` do the
 same for the hardware layer: the per-gate simulator (one NumPy op per gate
@@ -36,9 +37,11 @@ from repro.apps.fft import FftResult, FixedPointFFT, random_q15_signal
 from repro.core.context import ApproxContext
 from repro.core.datapath import OperationCounts
 from repro.apps.hevc_mc import FILTER_SHIFT, LUMA_FILTERS, McFilterResult
+from repro.apps.kmeans import FixedPointKMeans, PointCloud, generate_point_cloud
 from repro.fxp.quantize import restore_lsbs, wrap_to_width
 from repro.hardware import GateKind, PowerBreakdown
 from repro.hardware.power import _DFF_CLOCK_FRACTION, _DFF_DATA_ACTIVITY
+from repro.metrics.clustering import success_rate
 from repro.metrics.signal import psnr_db
 from repro.operators import (
     AAMMultiplier,
@@ -348,6 +351,49 @@ def seed_kmeans_fit(kmeans, ctx, points, initial_centers):
             if members.shape[0] > 0:
                 centers[index] = np.round(members.mean(axis=0)).astype(np.int64)
     return labels, centers, ctx.counts_since(start)
+
+
+def seed_kmeans_workload_run(operators, config):
+    """``KmeansWorkload.run`` one point at a time, with its own references.
+
+    The evaluation before points shared their exact runs: per cloud, the
+    exact fit and the candidate fit (both :func:`seed_kmeans_fit`, from the
+    generating centres), then the success rate.  The counts are the last
+    cloud's candidate fit, as the workload reports them.
+    """
+    width = int(config["data_width"])
+    clouds = config.get("clouds")
+    if clouds is None:
+        seed = int(config.get("seed", 0))
+        clouds = [generate_point_cloud(int(config["points_per_run"]),
+                                       int(config["clusters"]),
+                                       seed=seed + run, frac_bits=width - 1)
+                  for run in range(int(config["runs"]))]
+    else:
+        # Requantise the Q1.15 clouds onto the datapath grid.
+        def shifted(codes):
+            return codes >> (16 - width) if width <= 16 \
+                else codes << (width - 16)
+
+        clouds = [PointCloud(points=shifted(cloud.points), labels=cloud.labels,
+                             centers=shifted(cloud.centers))
+                  for cloud in clouds]
+    rates = []
+    for cloud in clouds:
+        clusters = cloud.centers.shape[0]
+        kmeans = FixedPointKMeans(clusters=clusters, data_width=width,
+                                  iterations=int(config["iterations"]))
+        exact = ApproxContext(data_width=width, backend=operators.backend)
+        reference, _, _ = seed_kmeans_fit(kmeans, exact, cloud.points,
+                                          cloud.centers)
+        labels, _, counts = seed_kmeans_fit(
+            kmeans, operators.context(data_width=width), cloud.points,
+            cloud.centers)
+        rates.append(success_rate(reference, labels, clusters=clusters))
+    return WorkloadResult(
+        metrics={"success_rate": float(np.mean(rates))}, counts=counts,
+        details={"runs": len(clouds),
+                 "points_per_run": int(cloud.points.shape[0])})
 
 
 # ---------------------------------------------------------------------- #

@@ -255,6 +255,11 @@ class TestKMeans:
         agreement = np.mean(labels == reference)
         assert agreement > 0.97
 
+    def test_fit_needs_one_initial_centre_per_cluster(self, point_cloud):
+        km = FixedPointKMeans(clusters=4, iterations=1)
+        with pytest.raises(ValueError, match="one per cluster"):
+            km.fit(point_cloud.points, point_cloud.centers)
+
     def test_moderate_truncation_keeps_high_success(self, point_cloud):
         rate, _ = kmeans_success_rate(
             point_cloud, context=ApproxContext(adder=TruncatedAdder(16, 11)),

@@ -77,13 +77,31 @@ class TestFusedEqualsSeedStyle(object):
         assert fused.counts == seed.counts
 
     def test_kmeans(self, backend, adder, multiplier, point_cloud):
+        self._assert_kmeans_fit_matches(backend, adder, multiplier,
+                                        point_cloud.points,
+                                        point_cloud.centers)
+
+    def test_kmeans_empty_cluster(self, backend, adder, multiplier,
+                                  point_cloud):
+        # A duplicated centre loses every tie to its twin, so the first
+        # update leaves its cluster empty and the centre must stay put.
+        centers = point_cloud.centers.copy()
+        centers[-1] = centers[0]
+        probe = FixedPointKMeans(
+            clusters=6, context=make_context(backend, adder, multiplier))
+        assert not np.any(probe.assign(point_cloud.points, centers) == 5)
+        self._assert_kmeans_fit_matches(backend, adder, multiplier,
+                                        point_cloud.points, centers)
+
+    @staticmethod
+    def _assert_kmeans_fit_matches(backend, adder, multiplier, points,
+                                   centers):
         fused_ctx = make_context(backend, adder, multiplier)
         seed_ctx = make_context(backend, adder, multiplier)
         kmeans = FixedPointKMeans(clusters=6, context=fused_ctx, iterations=3)
-        fused_labels, fused_centers, fused_counts = kmeans.fit(
-            point_cloud.points, point_cloud.centers)
+        fused_labels, fused_centers, fused_counts = kmeans.fit(points, centers)
         seed_labels, seed_centers, seed_counts = seed_kmeans_fit(
-            kmeans, seed_ctx, point_cloud.points, point_cloud.centers)
+            kmeans, seed_ctx, points, centers)
         assert np.array_equal(fused_labels, seed_labels)
         assert np.array_equal(fused_centers, seed_centers)
         assert fused_counts == seed_counts

@@ -1,9 +1,12 @@
 """Tests for the error, signal, image, acceptance and clustering metrics."""
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.metrics import clustering
 from repro.metrics import (
     acceptance_curve,
     acceptance_probability,
@@ -221,6 +224,49 @@ class TestClustering:
     def test_empty_labels_rejected(self):
         with pytest.raises(ValueError):
             success_rate(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize("already_matched", [False, True])
+    def test_label_shape_mismatch_rejected(self, already_matched):
+        # Five reference labels against one candidate label used to
+        # broadcast to 0.4 on the already-matched path.
+        with pytest.raises(ValueError, match="same shape"):
+            success_rate(np.zeros(5, dtype=np.int64), np.zeros(1, dtype=np.int64),
+                         already_matched=already_matched)
+
+    def test_negative_labels_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            match_labels(np.array([0, 1, 1]), np.array([0, -1, 1]))
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000),
+           keep=st.integers(min_value=0, max_value=6))
+    def test_match_labels_equals_dict_remap_on_greedy_path(self, seed, keep):
+        """The lookup-array remap against the per-label dict it replaced.
+
+        Greedy matching on random labels, truncated to ``keep`` pairs so
+        some candidate labels are left unmatched and keep their value.
+        """
+        rng = np.random.default_rng(seed)
+        clusters = 6
+        reference = rng.integers(0, clusters, 300)
+        # Candidates use a subset of the labels, so some columns are empty.
+        candidate = rng.integers(0, clusters - 2, 300)
+        greedy = clustering._greedy_assignment
+
+        def truncated(matrix):
+            rows, cols = greedy(matrix)
+            return rows[:keep], cols[:keep]
+
+        rows, cols = truncated(
+            clustering.confusion_matrix(reference, candidate, clusters))
+        mapping = {int(col): int(row) for row, col in zip(rows, cols)}
+        expected = np.array([mapping.get(int(label), int(label))
+                             for label in candidate], dtype=np.int64)
+        with mock.patch.object(clustering, "_hungarian", None), \
+                mock.patch.object(clustering, "_greedy_assignment", truncated):
+            remapped = match_labels(reference, candidate, clusters)
+        assert remapped.dtype == np.int64
+        assert np.array_equal(remapped, expected)
 
     @settings(max_examples=25)
     @given(permutation_seed=st.integers(min_value=0, max_value=1000))
