@@ -76,6 +76,9 @@ class Netlist:
         self._const0: Optional[int] = None
         self._const1: Optional[int] = None
         self._register_bits = 0
+        # Memo of timing(); every gate, port bit and constant allocates its
+        # wire through new_wire(), which drops it.
+        self._timing: Optional[Tuple[List[float], List[float]]] = None
 
     # ------------------------------------------------------------------ #
     # Construction API (used by the builders)
@@ -83,6 +86,7 @@ class Netlist:
     def new_wire(self) -> int:
         wire = self._wire_count
         self._wire_count += 1
+        self._timing = None
         return wire
 
     def add_input_port(self, name: str, width: int) -> List[int]:
@@ -214,12 +218,18 @@ class Netlist:
     def timing(self) -> Tuple[List[float], List[float]]:
         """Arrival time (ns) and input skew (gate levels) of every wire.
 
-        One forward pass in gate order.  Arrival assumes zero input arrival.
-        The skew of a gate is the difference between the logic depths (gate
-        counts from the primary inputs) of its latest and earliest arriving
-        inputs: the number of evaluation waves during which it may glitch
-        before settling.
+        One forward pass in gate order, memoised until the next gate, port
+        or constant is added; callers must not mutate the returned lists.
+        Arrival assumes zero input arrival.  The skew of a gate is the
+        difference between the logic depths (gate counts from the primary
+        inputs) of its latest and earliest arriving inputs: the number of
+        evaluation waves during which it may glitch before settling.
         """
+        if self._timing is None:
+            self._timing = self._timing_pass()
+        return self._timing
+
+    def _timing_pass(self) -> Tuple[List[float], List[float]]:
         cells = self.technology.cell_table()
         arrival = [0.0] * self._wire_count
         depth = [0] * self._wire_count

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..operators.base import Operator
-from ..operators.bitops import bit_matrix, to_unsigned
+from ..operators.bitops import to_unsigned
 
 
 @dataclass(frozen=True)
@@ -123,18 +123,34 @@ def mean_relative_error(reference: np.ndarray, error: np.ndarray) -> float:
 
 def bit_error_metrics(reference: np.ndarray, approximate: np.ndarray,
                       width: int) -> Tuple[float, np.ndarray]:
-    """BER and positional BER from one shared XOR diff and bit expansion.
+    """BER and positional BER from one shared XOR diff.
 
-    The two metrics are views of the same ``samples x width`` bit matrix —
-    computing the matrix once halves the dominant cost of the bit-level
-    characterisation.  Returns ``(ber, positional_ber)`` where the scalar
-    equals ``np.mean`` of the matrix and the vector is its per-column mean
-    (LSB first), exactly as the separate functions compute them.
+    Every element of the two equally shaped arrays is one sample.  Each bit
+    position's error count is taken straight from the diff word, without
+    expanding it into a ``samples x width`` bit matrix: the positional BER
+    is ``counts / samples`` (LSB first) and the BER is
+    ``sum(counts) / (samples * width)``.  The counts are exact integers, so
+    both equal the means of that bit matrix bit for bit.
+
+    Raises :class:`ValueError` for mismatched shapes, empty input or
+    ``width < 1``.
     """
+    if width < 1:
+        raise ValueError("width must be at least 1 bit")
+    reference = np.asarray(reference)
+    approximate = np.asarray(approximate)
+    if reference.shape != approximate.shape:
+        raise ValueError(f"shape mismatch: reference {reference.shape} "
+                         f"vs approximate {approximate.shape}")
+    if reference.size == 0:
+        raise ValueError("no samples to compare")
     diff = to_unsigned(reference, width) ^ to_unsigned(approximate, width)
-    bits = bit_matrix(diff, width)
-    positional = np.asarray(np.mean(bits, axis=0), dtype=np.float64)
-    return float(np.mean(bits)), positional
+    bit = np.empty_like(diff)
+    counts = [np.count_nonzero(np.bitwise_and(diff, 1 << i, out=bit))
+              for i in range(width)]
+    samples = diff.size
+    positional = np.asarray(counts, dtype=np.float64) / samples
+    return sum(counts) / (samples * width), positional
 
 
 def bit_error_rate(reference: np.ndarray, approximate: np.ndarray,

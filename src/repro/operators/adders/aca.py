@@ -6,12 +6,14 @@ of the full carry chain.  The speculation fails whenever a carry chain longer
 than ``P`` crosses position ``i - P``, which is rare for random operands but
 produces a large-amplitude ("fail rare / fail moderate") error.
 
-The functional model below evaluates this definition in closed form — bits up
-to the prediction depth come from the full sum, each higher bit from one
-shifted add (:func:`~repro.operators.bitops.windowed_sum`) — bit-accurate and
-vectorised over NumPy arrays; the matching hardware structure (one small
-sub-adder per output bit, heavily shared in practice) is modelled in
-``repro.hardware.builders``.
+The functional model below evaluates this definition in prefix form
+(:func:`~repro.operators.bitops.windowed_sum`): output bit ``i`` is
+``a_i ^ b_i`` XOR the carry generated by the ``P`` bits below it, which is the
+full-sum carry unless those ``P`` bits all propagate.  The window's group
+propagate comes from Kogge-Stone doubling in ``O(log P)`` whole-word
+operations — bit-accurate and vectorised over NumPy arrays.  The matching
+hardware structure (one small sub-adder per output bit, heavily shared in
+practice) is modelled in ``repro.hardware.builders``.
 """
 from __future__ import annotations
 

@@ -14,6 +14,12 @@ entering a block is speculated:
 
 Errors appear only when a real carry chain crosses the speculation window,
 which again gives the "fail rare" error profile described in the paper.
+
+The functional model is a prefix form: the speculated carry into every block
+is the carry generated by a window of ``speculation_blocks * X`` operand bits
+(:func:`~repro.operators.bitops.windowed_carries`, Kogge-Stone doubling of
+the window's group propagate), and all blocks are summed in one SWAR lane
+add.  ``tests/oracles.py`` holds the block-by-block model it must match.
 """
 from __future__ import annotations
 
@@ -22,7 +28,7 @@ from typing import Dict
 import numpy as np
 
 from ..base import AdderOperator
-from ..bitops import mask, to_signed, to_unsigned
+from ..bitops import mask, to_signed, to_unsigned, windowed_carries
 
 
 class _BlockCarrySpeculationAdder(AdderOperator):
@@ -76,23 +82,32 @@ class _BlockCarrySpeculationAdder(AdderOperator):
     # Functional model
     # ------------------------------------------------------------------ #
     def compute(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Every block adds its operand bits and one speculated carry.
+
+        The speculated carries are the windowed carries
+        (:func:`~repro.operators.bitops.windowed_carries`) of window
+        ``speculation_blocks * block_size``, kept at the block LSBs: block 0
+        takes none, and a block whose window reaches bit 0 sees the full
+        carry.  All blocks are then added in one SWAR lane add: the top bit
+        of every block is masked off so no carry crosses into the next
+        block, and those top bits are XORed back in afterwards.
+        """
         n = self.input_width
         x = self._block_size
         ua = to_unsigned(a, n)
         ub = to_unsigned(b, n)
-        # Block 0 takes no carry; each later block adds the carry out of its
-        # speculation window (the previous blocks, zero carry-in at the
-        # bottom).  Higher operand bits only carry upward, so a block's sum
-        # needs no masking of the operands above it.
-        result = (ua + ub) & mask(x)
-        for k in range(1, self.block_count):
-            low_bit = max(0, k - self.speculation_blocks) * x
-            width = k * x - low_bit
-            carry = ((((ua >> low_bit) & mask(width))
-                      + ((ub >> low_bit) & mask(width))) >> width) & 1
-            block = ((ua >> (k * x)) + (ub >> (k * x)) + carry) & mask(x)
-            result = result | (block << (k * x))
-        return to_signed(result, n)
+        lanes = self.block_count
+        block_lsbs = sum(1 << (k * x) for k in range(1, lanes))
+        block_msbs = sum(1 << (k * x + x - 1) for k in range(lanes))
+        low = mask(n) ^ block_msbs
+        carries = windowed_carries(ua, ub, n, self.speculation_window_bits())
+        carries &= block_lsbs
+        carries += ua & low
+        carries += ub & low
+        top_bits = ua ^ ub
+        top_bits &= block_msbs
+        carries ^= top_bits
+        return to_signed(carries, n)
 
     # ------------------------------------------------------------------ #
     # Analysis helpers

@@ -38,21 +38,79 @@ def get_bit(value: IntLike, position: int) -> np.ndarray:
     return (np.asarray(value, dtype=np.int64) >> position) & 1
 
 
+def _window_propagate(p: np.ndarray, depth: int) -> np.ndarray:
+    """Bit ``j`` is the AND of ``p`` over bits ``j - depth + 1 .. j``.
+
+    Binary doubling (Kogge & Stone, 1973): ``P_2k = P_k & (P_k << k)``,
+    composed over the set bits of ``depth`` with
+    ``P_(m+k) = P_m & (P_k << m)``.  Zeros shift in below bit 0, so a
+    window that reaches below bit 0 never propagates.  ``depth >= 1``;
+    ``p`` is consumed (updated in place).
+    """
+    span, k = p, 1
+    window, covered = None, 0
+    while True:
+        if depth & k:
+            if window is None:
+                window = span if covered + k == depth else span.copy()
+            else:
+                window &= span << covered
+            covered += k
+        if covered == depth:
+            return window
+        span &= span << k
+        k <<= 1
+
+
+def windowed_carries(ua: np.ndarray, ub: np.ndarray, width: int,
+                     depth: int) -> np.ndarray:
+    """Carry into every bit ``i < width`` from operand bits
+    ``i - depth .. i - 1`` alone, with a zero carry-in at the window bottom.
+
+    With the propagate word ``p = ua ^ ub``, ``c = (ua + ub) ^ p`` holds the
+    full-sum carry into every bit, and ``P_w`` (:func:`_window_propagate`)
+    is the window's group propagate ending at each bit.  Group generate and
+    group propagate are exclusive when ``p = a ^ b``, so the carry the
+    window generates is exactly ``c & ~(P_w << 1)``: the full carry, unless
+    the whole window propagates a carry that came from below it.  Windows
+    that reach bit 0 see the full carry; ``depth >= width - 1`` gives the
+    full-sum carries everywhere.
+    """
+    if depth < 0:
+        raise ValueError("depth must be non-negative")
+    # The words are fresh temporaries, updated in place.
+    p = ua ^ ub
+    carries = ua + ub
+    carries ^= p
+    carries &= mask(width)
+    if depth >= width - 1:
+        return carries
+    if depth == 0:
+        return np.zeros_like(carries)
+    window = _window_propagate(p, depth)
+    window <<= 1
+    carries &= ~window
+    return carries
+
+
 def windowed_sum(ua: np.ndarray, ub: np.ndarray, width: int,
                  depth: int) -> np.ndarray:
     """Unsigned ``width``-bit sum whose bit ``i`` sees only operand bits
     ``i - depth .. i`` (carry propagation limited to ``depth`` positions).
 
-    Bits ``0 .. depth`` coincide with the full sum, because their windows
-    reach bit 0.  Every higher bit ``i`` is bit ``depth`` of the operands
-    shifted down by ``i - depth``: the addend bits above the window only
-    carry upward, so they never reach bit ``depth``.
+    Bit ``i`` is ``a_i ^ b_i`` XOR the carry the ``depth`` bits below it
+    generate (:func:`windowed_carries`); equivalently the full sum with the
+    carries of fully propagating windows flipped back out,
+    ``(ua + ub) ^ (c & (P_w << 1))``.  Bits ``0 .. depth`` coincide with the
+    full sum, because their windows reach bit 0, so ``depth >= width - 1``
+    is the full ``width``-bit sum and ``depth = 0`` the carry-free XOR.
+    ``depth < 0`` raises :class:`ValueError`.
     """
-    result = (ua + ub) & mask(min(depth + 1, width))
-    for i in range(depth + 1, width):
-        shift = i - depth
-        result = result | ((((ua >> shift) + (ub >> shift)) >> depth) & 1) << i
-    return result
+    total = windowed_carries(ua, ub, width, depth)
+    total ^= ua
+    total ^= ub
+    total &= mask(width)
+    return total
 
 
 def get_bits(value: IntLike, low: int, high: int) -> np.ndarray:

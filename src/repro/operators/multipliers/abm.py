@@ -110,6 +110,8 @@ class ABMMultiplier(MultiplierOperator):
         comp_bits = sum((row >> (n - 1)) & 1 for row in rows)
         partial, last = (sum(kept[:-1]), kept[-1]) if len(kept) > 1 \
             else (kept[0], 0)
+        # Free the rows before the conversion allocates its carry words.
+        del rows, kept
 
         if self._compensation:
             # Each asserted column-(N-1) bit statistically carries half an LSB

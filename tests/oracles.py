@@ -13,6 +13,10 @@ Operators without an entry (the exact and data-sized operators, BOOTH) are
 already written as their definition; :func:`oracle_compute` returns their
 own ``compute``.
 
+:func:`limited_carry_add` is the bit-serial oracle of ``bitops.windowed_sum``
+on its own, and :func:`seed_bit_error_metrics` the bit-matrix form of the
+BER metrics that ``bit_error_metrics`` computes from per-position counts.
+
 The ``seed_*`` functions play the same role one level up, for the
 application kernels.  The apps run *stage-fused*: one batched context call
 per FFT stage, DCT dot-product step, HEVC tap group or K-means dimension.
@@ -50,7 +54,8 @@ from repro.operators import (
     RCAApxAdder,
 )
 from repro.operators.adders.etaiv import _BlockCarrySpeculationAdder
-from repro.operators.bitops import get_bit, mask, to_signed, to_unsigned
+from repro.operators.bitops import (bit_matrix, get_bit, mask, to_signed,
+                                    to_unsigned)
 from repro.operators.multipliers.booth import booth_partial_products
 from repro.workloads.base import WorkloadResult
 
@@ -126,8 +131,11 @@ def aam_compute(op, a, b):
     return np.asarray(wrap_to_width(kept >> n, n), dtype=np.int64)
 
 
-def _limited_carry_add(x, y, width, window):
-    """Conversion add whose bit ``i`` sums only bits ``i - window .. i``."""
+def limited_carry_add(x, y, width, window):
+    """Conversion add whose bit ``i`` sums only bits ``i - window .. i``.
+
+    The bit-serial oracle of ``bitops.windowed_sum`` (``window=None`` is the
+    full add)."""
     if window is None:
         return (x + y) & mask(width)
     ux, uy = to_unsigned(x, width), to_unsigned(y, width)
@@ -154,7 +162,7 @@ def abm_compute(op, a, b):
     last = kept_rows[-1] if len(kept_rows) > 1 else np.zeros_like(partial)
     if op.compensation:
         partial = partial + ((comp_bits + 1) >> 1)
-    combined = _limited_carry_add(partial, last, n, op.carry_window)
+    combined = limited_carry_add(partial, last, n, op.carry_window)
     return np.asarray(wrap_to_width(combined, n), dtype=np.int64)
 
 
@@ -185,6 +193,16 @@ def oracle_aligned(op, a, b):
     """Oracle counterpart of :meth:`Operator.aligned`."""
     out = oracle_compute(op, a, b)
     return np.asarray(restore_lsbs(out, op.output_shift), dtype=np.int64)
+
+
+def seed_bit_error_metrics(reference, approximate, width):
+    """BER and positional BER as the means of the ``samples x width`` bit
+    matrix of the XOR diff: the form ``metrics.error.bit_error_metrics``
+    replaced with per-position counts."""
+    diff = to_unsigned(reference, width) ^ to_unsigned(approximate, width)
+    bits = bit_matrix(diff, width)
+    return float(np.mean(bits)), np.asarray(np.mean(bits, axis=0),
+                                            dtype=np.float64)
 
 
 # ---------------------------------------------------------------------- #

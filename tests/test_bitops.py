@@ -66,6 +66,28 @@ class TestBitAccess:
         with pytest.raises(ValueError):
             bitops.sign_extend(1, 8, 4)
 
+    def test_windowed_sum_rejects_negative_depth(self):
+        codes = np.array([3, 200], dtype=np.int64)
+        with pytest.raises(ValueError, match="depth"):
+            bitops.windowed_sum(codes, codes, 8, -1)
+        with pytest.raises(ValueError, match="depth"):
+            bitops.windowed_carries(codes, codes, 8, -1)
+
+    @settings(max_examples=60)
+    @given(a=st.integers(0, 255), b=st.integers(0, 255),
+           depth=st.integers(7, 12))
+    def test_windowed_sum_from_width_minus_one_is_the_full_sum(self, a, b,
+                                                              depth):
+        ua, ub = np.array([a]), np.array([b])
+        assert bitops.windowed_sum(ua, ub, 8, depth)[0] == (a + b) & 0xFF
+
+    def test_windowed_sum_depth_zero_is_carry_free(self):
+        ua = np.array([0b0111, 0b1111], dtype=np.int64)
+        ub = np.array([0b0001, 0b0001], dtype=np.int64)
+        assert bitops.windowed_sum(ua, ub, 4, 0).tolist() == [0b0110, 0b1110]
+        # One bit of window: the carry out of 0b0111's bit 0 reaches bit 1 only.
+        assert bitops.windowed_sum(ua, ub, 4, 1).tolist() == [0b0100, 0b1100]
+
     @settings(max_examples=60)
     @given(a=int16, b=int16)
     def test_hamming_distance_symmetry(self, a, b):

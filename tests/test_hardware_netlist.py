@@ -133,6 +133,19 @@ class TestNetlistMetrics:
         long_chain.set_output_port("y", [wire])
         assert long_chain.critical_path_ns() > short.critical_path_ns()
 
+    def test_timing_memo_follows_appended_gates(self):
+        netlist = _xor_netlist()
+        before = netlist.critical_path_ns()
+        assert netlist.timing() is netlist.timing()
+        y = netlist.output_ports["y"][0]
+        z = netlist.add_gate(GateKind.XOR2, y, netlist.const(1))
+        netlist.set_output_port("z", [z])
+        arrival, _ = netlist.timing()
+        assert len(arrival) == 5  # a, b, y, the constant and z
+        assert netlist.critical_path_ns() > before
+        netlist.add_input_port("c", 2)
+        assert len(netlist.timing()[0]) == 7
+
     def test_gate_histogram(self):
         netlist = _xor_netlist()
         netlist.add_register_bits(3)

@@ -2,6 +2,7 @@
 the pinned digest of the hardware characterisations it feeds."""
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -104,3 +105,13 @@ def test_hardware_reports_match_pinned_digest():
                for op in branch_operators()]
     text = json.dumps(reports, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_HARDWARE["sha256"]
+
+
+@pytest.mark.parametrize("operator", [ACAAdder(16, 4), AAMMultiplier(8)],
+                         ids=lambda op: op.name)
+def test_one_timing_pass_per_characterisation(operator):
+    """The critical path and the glitch skews share one timing pass."""
+    with mock.patch.object(Netlist, "_timing_pass", autospec=True,
+                           side_effect=Netlist._timing_pass) as timing_pass:
+        characterize_hardware(operator, samples=200, calibrated=False)
+    assert timing_pass.call_count == 1

@@ -10,6 +10,7 @@ from repro.metrics import clustering
 from repro.metrics import (
     acceptance_curve,
     acceptance_probability,
+    bit_error_metrics,
     bit_error_rate,
     characterize_error,
     error_pdf,
@@ -59,6 +60,34 @@ class TestErrorMetrics:
         per_bit = positional_bit_error_rate(reference, approximate, 8)
         assert per_bit[2] == pytest.approx(1.0)
         assert per_bit[0] == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("metric", (bit_error_metrics, bit_error_rate,
+                                        positional_bit_error_rate))
+    def test_bit_metrics_reject_mismatched_shapes(self, metric):
+        # A 1-element reference used to broadcast against 4 codes.
+        with pytest.raises(ValueError, match="shape"):
+            metric(np.array([0]), np.array([1, 2, 3, 4]), 4)
+
+    @pytest.mark.parametrize("metric", (bit_error_metrics, bit_error_rate,
+                                        positional_bit_error_rate))
+    def test_bit_metrics_reject_empty_input(self, metric):
+        empty = np.array([], dtype=np.int64)
+        with pytest.raises(ValueError, match="no samples"):
+            metric(empty, empty, 8)
+
+    @pytest.mark.parametrize("metric", (bit_error_metrics, bit_error_rate,
+                                        positional_bit_error_rate))
+    @pytest.mark.parametrize("width", (0, -3))
+    def test_bit_metrics_reject_widths_below_one(self, metric, width):
+        with pytest.raises(ValueError, match="width"):
+            metric(np.array([1, 2]), np.array([3, 4]), width)
+
+    def test_bit_metrics_count_every_element_as_a_sample(self):
+        reference = np.zeros((2, 3), dtype=np.int64)
+        approximate = np.array([[1, 0, 0], [0, 3, 0]], dtype=np.int64)
+        ber, positional = bit_error_metrics(reference, approximate, 2)
+        assert ber == 3 / 12
+        assert positional.tolist() == [2 / 6, 1 / 6]
 
     def test_characterize_error_of_exact_operator(self):
         report = characterize_error(ExactAdder(16), samples=2000)

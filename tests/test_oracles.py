@@ -15,8 +15,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from oracles import ORACLE_FAMILIES, oracle_aligned
+from oracles import (
+    ORACLE_FAMILIES,
+    limited_carry_add,
+    oracle_aligned,
+    oracle_compute,
+    seed_bit_error_metrics,
+)
 from repro.core import create_backend, parse_operator
+from repro.metrics import bit_error_metrics
 from repro.operators import (
     AAMMultiplier,
     ABMMultiplier,
@@ -25,6 +32,7 @@ from repro.operators import (
     ETAIVAdder,
     RCAApxAdder,
 )
+from repro.operators.bitops import to_signed, windowed_sum
 
 #: 8-bit configurations swept exhaustively, covering each family's knobs.
 EIGHT_BIT_CONFIGS = (
@@ -160,3 +168,79 @@ class TestPaperWidths(object):
         for backend in _backends():
             got = backend.execute(op, a, bank)
             assert np.array_equal(got, expected), (op.name, backend.name)
+
+
+def _speculating(klass, blocks):
+    """ETA variant speculating over ``blocks`` previous blocks."""
+    return type(f"{klass.__name__}x{blocks}", (klass,),
+                {"speculation_blocks": blocks})
+
+
+#: Seeded random operand pairs per width for the carry-window kernels.
+RANDOM_PAIRS = 100_000
+
+
+def _random_pairs(width, seed=2017):
+    rng = np.random.default_rng(seed + width)
+    return (rng.integers(0, 1 << width, RANDOM_PAIRS, dtype=np.int64),
+            rng.integers(0, 1 << width, RANDOM_PAIRS, dtype=np.int64))
+
+
+def _exhaustive_pairs(width):
+    codes = np.arange(1 << width, dtype=np.int64)
+    a, b = np.meshgrid(codes, codes)
+    return a.ravel(), b.ravel()
+
+
+class TestCarryWindowKernels(object):
+    """The prefix kernels (windowed carries, SWAR lane add) against the
+    bit-serial models: exhaustively at 8 bits, on seeded random pairs at 16
+    and 32 bits."""
+
+    @pytest.mark.parametrize("width", (8, 16, 32))
+    def test_windowed_sum_every_depth(self, width):
+        ua, ub = _exhaustive_pairs(width) if width == 8 \
+            else _random_pairs(width)
+        for depth in range(width + 1):
+            assert np.array_equal(windowed_sum(ua, ub, width, depth),
+                                  limited_carry_add(ua, ub, width, depth)), \
+                (width, depth)
+
+    @pytest.mark.parametrize("width", (8, 16, 32))
+    @pytest.mark.parametrize("klass", (ETAIIAdder, ETAIVAdder))
+    def test_eta_every_block_size_and_window(self, klass, width):
+        ua, ub = _exhaustive_pairs(width) if width == 8 \
+            else _random_pairs(width)
+        a, b = to_signed(ua, width), to_signed(ub, width)
+        for blocks in (1, 2, 3):
+            for x in _divisors(width):
+                op = _speculating(klass, blocks)(width, x)
+                assert np.array_equal(op.compute(a, b),
+                                      oracle_compute(op, a, b)), \
+                    (op.name, blocks)
+
+    # ABM's product model stops at 31 bits; 32-bit conversion adds are
+    # covered by test_windowed_sum_every_depth.
+    @pytest.mark.parametrize("width", (8, 16))
+    def test_abm_every_carry_window(self, width):
+        if width == 8:
+            a, b = (to_signed(x, 8) for x in _exhaustive_pairs(8))
+        else:
+            a, b = (to_signed(x, width) for x in _random_pairs(width))
+        for window in [None, *range(1, width + 1)]:
+            for compensation in (True, False):
+                op = ABMMultiplier(width, compensation, window)
+                assert np.array_equal(op.compute(a, b),
+                                      oracle_compute(op, a, b)), op.name
+
+    @pytest.mark.parametrize("width", (16, 32))
+    def test_bit_error_metrics_equal_bit_matrix_means(self, width):
+        ua, ub = _random_pairs(width)
+        # Sparse, clustered differences as well as uniform ones.
+        for approximate in (ub, ua ^ (ub & (ub >> 3) & (ub >> 7))):
+            ber, positional = bit_error_metrics(ua, approximate, width)
+            seed_ber, seed_positional = seed_bit_error_metrics(
+                ua, approximate, width)
+            assert ber == seed_ber
+            assert positional.dtype == seed_positional.dtype
+            assert positional.tolist() == seed_positional.tolist()
