@@ -15,14 +15,15 @@ and :func:`minimal_adder_for` implement that coupling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..hardware.report import HardwareReport
 from ..hardware.synthesis import HARDWARE_MODEL_VERSION, characterize_hardware
 from ..operators.adders import TruncatedAdder
 from ..operators.base import AdderOperator, MultiplierOperator, Operator
 from ..operators.multipliers import TruncatedMultiplier
-from .store import ResultStore
+from .registry import parse_operator
+from .store import ResultStore, StoreKey
 
 
 @dataclass
@@ -114,6 +115,8 @@ class DatapathEnergyModel:
     #: explorations across sessions share one hardware cache on disk.
     store: Optional[ResultStore] = None
     _cache: Dict[str, HardwareReport] = field(default_factory=dict, repr=False)
+    _pairings: Dict[str, Tuple[float, float]] = field(default_factory=dict,
+                                                      repr=False)
 
     def report_for(self, operator: Operator) -> HardwareReport:
         """Hardware report of an operator (memoised by operator name).
@@ -124,9 +127,10 @@ class DatapathEnergyModel:
         """
         key = operator.name
         if key not in self._cache:
-            store_key = self._store_key(operator)
+            store_key = None
             if self.store is not None:
-                payload = self.store.load("hardware", store_key)
+                store_key = StoreKey.of("hardware", self._store_key(operator))
+                payload = self.store.load_key(store_key)
                 report = HardwareReport.from_dict(payload) \
                     if payload is not None else None
                 if report is not None:
@@ -136,8 +140,8 @@ class DatapathEnergyModel:
                 operator, frequency_hz=self.frequency_hz,
                 samples=self.hardware_samples, calibrated=self.calibrated)
             self._cache[key] = report
-            if self.store is not None:
-                self.store.save("hardware", store_key, report.to_dict())
+            if store_key is not None:
+                self.store.save_key(store_key, report.to_dict())
         return self._cache[key]
 
     def _store_key(self, operator: Operator) -> Dict[str, object]:
@@ -158,6 +162,23 @@ class DatapathEnergyModel:
         if constant_coefficient:
             energy *= self.constant_coefficient_factor
         return energy
+
+    def paired_energy_pj(self, adder_spec: str) -> Tuple[float, float]:
+        """(per-addition, per-multiplication) pJ of an adder spec string.
+
+        The multiplication is charged on the adder's sizing-propagated
+        partner (:func:`minimal_multiplier_for`).  Memoised by spec, so a
+        heterogeneous row charges each stage operator without re-parsing
+        it.
+        """
+        pairing = self._pairings.get(adder_spec)
+        if pairing is None:
+            adder = parse_operator(adder_spec)
+            pairing = (self.energy_per_addition_pj(adder),
+                       self.energy_per_multiplication_pj(
+                           minimal_multiplier_for(adder)))
+            self._pairings[adder_spec] = pairing
+        return pairing
 
     def application_energy_pj(self, counts: OperationCounts,
                               adder: AdderOperator,

@@ -38,6 +38,7 @@ via ``Study.pareto(quality=..., cost=...)``::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..fxp.format import FxpFormat
@@ -140,14 +141,15 @@ class DesignPoint:
         swept = self.swept
         return f"{self.axis}:{swept.name if swept is not None else '?'}"
 
-    @property
+    @cached_property
     def key(self) -> Tuple[object, ...]:
         """De-duplication identity within a design space.
 
         The per-point configuration is canonicalised to a JSON token so
         unhashable override values (a stimulus image array, a cloud list)
         are fingerprinted by content rather than crashing the space's
-        dedup set.
+        dedup set.  Computed once per point: the point is frozen, so the
+        first evaluation is kept on the instance.
         """
         import json
 

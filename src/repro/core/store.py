@@ -58,6 +58,13 @@ def canonical_key(value: object) -> object:
     SHA-1 of the bytes).  Dataclass instances (e.g. a K-means point cloud)
     canonicalise field by field.  Anything else falls back to ``repr`` —
     stable for the value types used in workload configurations.
+
+    The form (and so every record's file name and embedded key) is part of
+    the on-disk format: a store filled by an earlier version stays warm only
+    while this function returns the same JSON.  It walks the whole
+    structure, hashing every array, so a caller that needs one key twice
+    (a probe, then a save on a miss) canonicalises it once into a
+    :class:`StoreKey`.
     """
     import numpy as np
 
@@ -96,6 +103,30 @@ def _canonical_digest(kind: str, canonical: object) -> str:
     return hashlib.sha1(text.encode()).hexdigest()
 
 
+@dataclasses.dataclass(frozen=True)
+class StoreKey:
+    """One record's key, canonicalised once.
+
+    ``canonical`` is the :func:`canonical_key` form the envelope embeds and
+    a load checks; ``digest`` names the record file.  Build one with
+    :meth:`of` and pass it to both :meth:`ResultStore.load_key` and, on a
+    miss, :meth:`ResultStore.save_key`.
+    """
+
+    kind: str
+    canonical: object
+    digest: str
+
+    @classmethod
+    def of(cls, kind: str, key: object) -> "StoreKey":
+        return cls.from_canonical(kind, canonical_key(key))
+
+    @classmethod
+    def from_canonical(cls, kind: str, canonical: object) -> "StoreKey":
+        """Wrap an already canonical form (see :func:`canonical_key`)."""
+        return cls(kind, canonical, _canonical_digest(kind, canonical))
+
+
 class ResultStore:
     """Directory of JSON records keyed by structural content.
 
@@ -130,10 +161,10 @@ class ResultStore:
     # Record access
     # ------------------------------------------------------------------ #
     def path_for(self, kind: str, key: object) -> Path:
-        return self._path(kind, canonical_key(key))
+        return self._path(StoreKey.of(kind, key))
 
-    def _path(self, kind: str, canonical: object) -> Path:
-        return self.directory / kind / f"{_canonical_digest(kind, canonical)}.json"
+    def _path(self, record: StoreKey) -> Path:
+        return self.directory / record.kind / f"{record.digest}.json"
 
     def load(self, kind: str, key: object) -> Optional[Dict[str, object]]:
         """Stored payload of ``(kind, key)``, or ``None`` on any miss.
@@ -142,7 +173,11 @@ class ResultStore:
         mismatch (hash collision or hand-edited file) all read as a clean
         cache miss.
         """
-        payload = self._load_validated(kind, key)
+        return self.load_key(StoreKey.of(kind, key))
+
+    def load_key(self, record: StoreKey) -> Optional[Dict[str, object]]:
+        """:meth:`load` for a key canonicalised by the caller."""
+        payload = self._load_validated(record)
         with self._lock:
             if payload is None:
                 self._misses += 1
@@ -150,20 +185,18 @@ class ResultStore:
                 self._hits += 1
         return payload
 
-    def _load_validated(self, kind: str, key: object
-                        ) -> Optional[Dict[str, object]]:
-        canonical = canonical_key(key)
+    def _load_validated(self, record: StoreKey) -> Optional[Dict[str, object]]:
         try:
-            document = json.loads(self._path(kind, canonical).read_text())
+            document = json.loads(self._path(record).read_text())
         except (OSError, ValueError):
             return None
         if not isinstance(document, dict):
             return None
         if document.get("store_version") != STORE_VERSION:
             return None
-        if document.get("kind") != kind:
+        if document.get("kind") != record.kind:
             return None
-        if document.get("key") != canonical:
+        if document.get("key") != record.canonical:
             return None
         payload = document.get("payload")
         return payload if isinstance(payload, dict) else None
@@ -177,14 +210,18 @@ class ResultStore:
         optimisation, never a reason to fail the computation that produced
         the payload.
         """
+        return self.save_key(StoreKey.of(kind, key), payload)
+
+    def save_key(self, record: StoreKey,
+                 payload: Dict[str, object]) -> Optional[Path]:
+        """:meth:`save` for a key canonicalised by the caller."""
         from .results import _jsonify
 
-        canonical = canonical_key(key)
-        path = self._path(kind, canonical)
+        path = self._path(record)
         document = {
             "store_version": STORE_VERSION,
-            "kind": kind,
-            "key": canonical,
+            "kind": record.kind,
+            "key": record.canonical,
             "payload": payload,
         }
         try:

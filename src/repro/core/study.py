@@ -52,7 +52,7 @@ from .datapath import DatapathEnergyBreakdown, DatapathEnergyModel, OperationCou
 from .designspace import DesignPoint, DesignSpace, adder_point, multiplier_point
 from .registry import parse_operator
 from .results import ExperimentResult, ParetoFront, ResultBundle
-from .store import ResultStore, StoreLike
+from .store import ResultStore, StoreKey, StoreLike, canonical_key
 
 
 @dataclass
@@ -481,7 +481,7 @@ class Study:
         build_row = self._row_builder or _default_row
         rows: Dict[int, Dict[str, object]] = {}
         store_hits = 0
-        for index, outcome, fresh in self._outcomes(tasks, workers):
+        for index, outcome, fresh in self._outcomes(tasks, config, workers):
             point = points[index]
             if not fresh:
                 store_hits += 1
@@ -597,21 +597,25 @@ class Study:
     # ------------------------------------------------------------------ #
     # Execution internals
     # ------------------------------------------------------------------ #
-    def _outcomes(self, tasks: List[Tuple[int, SweepTask]], workers: int):
+    def _outcomes(self, tasks: List[Tuple[int, SweepTask]],
+                  config: Dict[str, object], workers: int):
         """Yield ``(index, WorkloadResult, fresh)`` in completion order.
 
         ``tasks`` pairs each sweep point with its global sweep index (the
         two differ in a sharded run).  Store-recorded points short-circuit
         first (``fresh=False``); the remainder runs serially or streams out
         of a process pool as each future completes.  Fresh results are
-        written back to the store.
+        written back to the store under the key their probe canonicalised.
+        ``config`` is the run's shared merged configuration, canonicalised
+        once here for every point that does not override it.
         """
         pending: List[Tuple[int, SweepTask]] = []
-        keys: Dict[int, Dict[str, object]] = {}
+        keys: Dict[int, StoreKey] = {}
+        shared = canonical_key(config) if self._store is not None else None
         for index, task in tasks:
-            key = self._sweep_key(task) if self._store is not None else None
-            if key is not None:
-                cached = _record_to_result(self._store.load("sweep", key))
+            if self._store is not None:
+                key = self._store_key(task, config, shared)
+                cached = _record_to_result(self._store.load_key(key))
                 if cached is not None:
                     yield index, cached, False
                     continue
@@ -619,11 +623,26 @@ class Study:
             pending.append((index, task))
 
         for index, result in self._execute_stream(pending, workers):
-            if self._store is not None and index in keys:
+            if index in keys:
                 payload = _result_to_record(result)
                 if payload is not None:
-                    self._store.save("sweep", keys[index], payload)
+                    self._store.save_key(keys[index], payload)
             yield index, result, True
+
+    def _store_key(self, task: SweepTask, shared_config: Dict[str, object],
+                   shared_canonical: object) -> StoreKey:
+        """:meth:`_sweep_key` of ``task``, canonicalised once.
+
+        Only the config needs canonicalising — every other field is a
+        string, an int or ``None`` — and a point running on the shared
+        config reuses its canonical form.  The result equals
+        ``StoreKey.of("sweep", self._sweep_key(task))``.
+        """
+        key = self._sweep_key(task)
+        config = key["config"]
+        key["config"] = shared_canonical if config is shared_config \
+            else canonical_key(config)
+        return StoreKey.from_canonical("sweep", dict(sorted(key.items())))
 
     def _sweep_key(self, task: SweepTask) -> Dict[str, object]:
         """Identity of one sweep point's exact computation."""

@@ -21,7 +21,13 @@ from .genes import (
     per_stage_fft_space,
 )
 from .halving import SuccessiveHalving
-from .rank import crowding_distance, dominates, non_dominated_sort, ranked_order
+from .rank import (
+    crowding_distance,
+    dominates,
+    non_dominated_sort,
+    rank_population,
+    ranked_order,
+)
 from .strategy import STRATEGY_NAMES, SearchOutcome, SearchStrategy
 from .targets import SEARCH_TARGETS, SearchTarget, get_target
 
@@ -45,6 +51,7 @@ __all__ = [
     "non_dominated_sort",
     "per_pass_dct_space",
     "per_stage_fft_space",
+    "rank_population",
     "ranked_order",
     "search_row",
 ]

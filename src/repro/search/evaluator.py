@@ -29,9 +29,7 @@ from dataclasses import replace
 from numbers import Number
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.datapath import minimal_multiplier_for
 from ..core.designspace import DesignPoint
-from ..core.registry import parse_operator
 from ..core.results import ParetoFront
 from ..core.study import Study, SweepOutcome, _default_row
 
@@ -42,7 +40,11 @@ def search_row(outcome: SweepOutcome) -> Dict[str, object]:
     Homogeneous points keep the study's own energy charging.  Heterogeneous
     points (no single charged adder, but per-stage details from the
     workload) get their energy summed stage by stage and a ``genome``
-    column naming the per-stage operators.
+    column naming the per-stage operators.  Each stage operator's
+    (addition, paired multiplication) energy comes from the energy model's
+    per-spec memo
+    (:meth:`~repro.core.datapath.DatapathEnergyModel.paired_energy_pj`),
+    so a row parses no operator spec the model has already charged.
     """
     row = _default_row(outcome)
     details = outcome.details
@@ -54,12 +56,9 @@ def search_row(outcome: SweepOutcome) -> Dict[str, object]:
         adder_energy = 0.0
         multiplier_energy = 0.0
         for name, counts in zip(stage_adders, stage_counts):
-            additions, multiplications = int(counts[0]), int(counts[1])
-            adder = parse_operator(str(name))
-            multiplier = minimal_multiplier_for(adder)
-            adder_energy += additions * model.energy_per_addition_pj(adder)
-            multiplier_energy += multiplications * \
-                model.energy_per_multiplication_pj(multiplier)
+            addition_pj, multiplication_pj = model.paired_energy_pj(str(name))
+            adder_energy += int(counts[0]) * addition_pj
+            multiplier_energy += int(counts[1]) * multiplication_pj
         row["adder_energy_pj"] = adder_energy
         row["multiplier_energy_pj"] = multiplier_energy
         row["total_energy_pj"] = adder_energy + multiplier_energy

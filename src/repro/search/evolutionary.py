@@ -13,12 +13,12 @@ at zero simulation cost.
 from __future__ import annotations
 
 from random import Random
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.designspace import DesignPoint, DesignSpace
 from .evaluator import SearchEvaluator
 from .genes import GeneSpace, Genome, as_gene_space
-from .rank import crowding_distance, non_dominated_sort
+from .rank import rank_population, ranked_order
 from .strategy import SearchOutcome
 
 
@@ -80,8 +80,10 @@ class EvolutionarySearch:
 
         def simulate(genomes: List[Genome]) -> None:
             fresh: List[Genome] = []
+            queued = set()
             for genome in genomes:
-                if genome not in memo and genome not in set(fresh):
+                if genome not in memo and genome not in queued:
+                    queued.add(genome)
                     fresh.append(genome)
             fresh = fresh[:room()]
             if not fresh:
@@ -114,21 +116,12 @@ class EvolutionarySearch:
         for generation in range(self.generations):
             if room() == 0:
                 break
-            objectives = [evaluator.objectives(memo[genome])
-                          for genome in population]
-            fronts = non_dominated_sort(objectives)
-            rank: Dict[int, int] = {}
-            crowding: Dict[int, float] = {}
-            for front_rank, members in enumerate(fronts):
-                crowding.update(crowding_distance(objectives, members))
-                for index in members:
-                    rank[index] = front_rank
+            ranking = rank_population([evaluator.objectives(memo[genome])
+                                       for genome in population])
 
             def better(a: int, b: int) -> int:
                 """Binary-tournament winner by (rank, crowding, index)."""
-                key_a = (rank[a], -crowding[a], a)
-                key_b = (rank[b], -crowding[b], b)
-                return a if key_a <= key_b else b
+                return a if ranking.sort_key(a) <= ranking.sort_key(b) else b
 
             offspring: List[Genome] = []
             while len(offspring) < self.population:
@@ -154,17 +147,8 @@ class EvolutionarySearch:
                 if genome in memo and genome not in seen:
                     seen.add(genome)
                     combined.append(genome)
-            objectives = [evaluator.objectives(memo[genome])
-                          for genome in combined]
-            fronts = non_dominated_sort(objectives)
-            crowding = {}
-            rank = {}
-            for front_rank, members in enumerate(fronts):
-                crowding.update(crowding_distance(objectives, members))
-                for index in members:
-                    rank[index] = front_rank
-            order = sorted(range(len(combined)),
-                           key=lambda i: (rank[i], -crowding[i], i))
+            order = ranked_order([evaluator.objectives(memo[genome])
+                                  for genome in combined])
             population = [combined[index]
                           for index in order[:self.population]]
 

@@ -26,7 +26,7 @@ from typing import Dict, Mapping, Optional, Sequence, Union
 
 from ..core.designspace import DesignPoint, DesignSpace
 from .evaluator import SearchEvaluator
-from .rank import non_dominated_sort, ranked_order
+from .rank import rank_population
 from .strategy import SearchOutcome
 
 
@@ -91,11 +91,11 @@ class SuccessiveHalving:
             points = [points[index] for index in chosen]
 
         rung_rows = evaluator.evaluate(points, density=self.reduced)
-        objectives = [evaluator.objectives(row) for row in rung_rows]
-        order = ranked_order(objectives)
-        fronts = non_dominated_sort(objectives)
+        ranking = rank_population(
+            [evaluator.objectives(row) for row in rung_rows])
+        order = ranking.order
         protected = {index
-                     for rank, members in enumerate(fronts)
+                     for rank, members in enumerate(ranking.fronts)
                      if rank <= self.rank_slack
                      for index in members}
         keep_count = max(1, math.ceil(self.keep * len(points)))

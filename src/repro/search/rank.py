@@ -9,10 +9,24 @@ identically on every platform.
 
 Objectives are *minimised*; callers negate maximised axes (the evaluator's
 ``objectives`` helper does this for the quality axis).
+
+The non-dominated sort builds the whole dominance matrix in one NumPy
+broadcast (``all(<=) & any(<)`` over an ``n × n × d`` array) and peels the
+fronts off it, instead of comparing candidates pair by pair.  Comparisons
+with NaN are false, so a NaN objective never dominates and is never
+dominated.  Crowding follows the same finite-span rule on every axis: an
+axis whose extent is zero or not finite (an infinite or NaN objective, e.g.
+the negated PSNR of an exact output) adds nothing to interior distances,
+so no distance is ever NaN.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 ObjectiveVector = Tuple[float, ...]
 
@@ -28,34 +42,28 @@ def non_dominated_sort(objectives: Sequence[ObjectiveVector]
                        ) -> List[List[int]]:
     """Partition indices into non-domination fronts (rank 0 first).
 
-    The classic fast non-dominated sort: front 0 is the set of candidates no
-    other candidate dominates; front ``r + 1`` is what becomes non-dominated
-    once fronts ``0..r`` are removed.  Each front lists its member indices in
-    ascending order, so the output is a pure function of the objective
-    vectors — independent of dict/set iteration order.
+    Front 0 is the set of candidates no other candidate dominates; front
+    ``r + 1`` is what becomes non-dominated once fronts ``0..r`` are
+    removed.  Each front lists its member indices in ascending order, so
+    the output is a pure function of the objective vectors.
     """
     count = len(objectives)
-    dominated_by: List[List[int]] = [[] for _ in range(count)]
-    domination_count = [0] * count
-    for i in range(count):
-        for j in range(i + 1, count):
-            if dominates(objectives[i], objectives[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(objectives[j], objectives[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
+    if count == 0:
+        return []
+    values = np.asarray(objectives, dtype=float).reshape(count, -1)
+    left, right = values[:, None, :], values[None, :, :]
+    # beats[i, j]: candidate i dominates candidate j.
+    beats = (left <= right).all(axis=2) & (left < right).any(axis=2)
+    dominators = beats.sum(axis=0)
     fronts: List[List[int]] = []
-    current = [i for i in range(count) if domination_count[i] == 0]
-    while current:
-        fronts.append(sorted(current))
-        upcoming: List[int] = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    upcoming.append(j)
-        current = upcoming
+    current = np.flatnonzero(dominators == 0)
+    while current.size:
+        fronts.append(current.tolist())
+        # A front only dominates later fronts, so its own members leave
+        # the count at -1 and are never picked again.
+        dominators -= beats[current].sum(axis=0)
+        dominators[current] = -1
+        current = np.flatnonzero(dominators == 0)
     return fronts
 
 
@@ -64,9 +72,11 @@ def crowding_distance(objectives: Sequence[ObjectiveVector],
     """NSGA-II crowding distance of one front's members.
 
     Boundary members of every objective get infinite distance; interior
-    members accumulate the normalised gap between their neighbours.  Ties on
-    an objective sort by index, so the distances are deterministic even when
-    candidates coincide.
+    members accumulate the normalised gap between their neighbours.  An
+    axis whose span is zero or not finite contributes nothing, so an
+    infinite objective cannot turn the interior distances into NaN.  Ties
+    on an objective sort by index, so the distances are deterministic even
+    when candidates coincide.
     """
     members = list(front)
     distance = {index: 0.0 for index in members}
@@ -75,11 +85,11 @@ def crowding_distance(objectives: Sequence[ObjectiveVector],
     dimensions = len(objectives[members[0]])
     for axis in range(dimensions):
         ordered = sorted(members, key=lambda i: (objectives[i][axis], i))
-        low = objectives[ordered[0]][axis]
-        high = objectives[ordered[-1]][axis]
         distance[ordered[0]] = float("inf")
         distance[ordered[-1]] = float("inf")
-        span = high - low
+        if not all(math.isfinite(objectives[i][axis]) for i in members):
+            continue
+        span = objectives[ordered[-1]][axis] - objectives[ordered[0]][axis]
         if span <= 0.0:
             continue
         for position in range(1, len(ordered) - 1):
@@ -92,20 +102,45 @@ def crowding_distance(objectives: Sequence[ObjectiveVector],
     return distance
 
 
+@dataclass(frozen=True)
+class Ranking:
+    """One NSGA-II ranking of a population.
+
+    ``fronts`` are the non-domination fronts, ``rank[i]`` is candidate
+    ``i``'s front and ``crowding[i]`` its crowding distance within it.
+    """
+
+    fronts: List[List[int]]
+    rank: List[int]
+    crowding: List[float]
+
+    def sort_key(self, index: int) -> Tuple[int, float, int]:
+        """(front rank, -crowding, index): the NSGA-II total order."""
+        return (self.rank[index], -self.crowding[index], index)
+
+    @cached_property
+    def order(self) -> List[int]:
+        """Every index, best first by :meth:`sort_key`."""
+        return sorted(range(len(self.rank)), key=self.sort_key)
+
+
+def rank_population(objectives: Sequence[ObjectiveVector]) -> Ranking:
+    """Fronts, ranks and crowding distances from one non-dominated sort."""
+    fronts = non_dominated_sort(objectives)
+    rank = [0] * len(objectives)
+    crowding = [0.0] * len(objectives)
+    for front_rank, members in enumerate(fronts):
+        for index, distance in crowding_distance(objectives, members).items():
+            rank[index] = front_rank
+            crowding[index] = distance
+    return Ranking(fronts, rank, crowding)
+
+
 def ranked_order(objectives: Sequence[ObjectiveVector]) -> List[int]:
     """All indices ordered best-first by (front rank, -crowding, index).
 
     The canonical NSGA-II total order: earlier fronts first, sparser regions
     first within a front, ascending index as the final deterministic
-    tie-break.  Both drivers use it — halving to pick rung survivors, the
-    evolutionary loop for environmental selection.
+    tie-break.
     """
-    fronts = non_dominated_sort(objectives)
-    rank: Dict[int, int] = {}
-    crowding: Dict[int, float] = {}
-    for front_rank, members in enumerate(fronts):
-        crowding.update(crowding_distance(objectives, members))
-        for index in members:
-            rank[index] = front_rank
-    return sorted(range(len(objectives)),
-                  key=lambda i: (rank[i], -crowding[i], i))
+    return rank_population(objectives).order

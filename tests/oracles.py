@@ -34,6 +34,11 @@ on a samples x wires int8 matrix, toggles from ``|diff|`` down each column)
 that the bit-parallel ``Netlist.evaluate`` and
 ``MonteCarloPowerEstimator.estimate`` replaced.  Output codes and power
 breakdowns must match exactly.
+
+:func:`pairwise_non_dominated_sort` is the search ranking's oracle: the
+classic fast non-dominated sort, one ``dominates`` call per candidate
+pair, that the broadcast dominance matrix of
+``search.rank.non_dominated_sort`` replaced.  Fronts must match exactly.
 """
 import numpy as np
 
@@ -57,6 +62,7 @@ from repro.operators.adders.etaiv import _BlockCarrySpeculationAdder
 from repro.operators.bitops import (bit_matrix, get_bit, mask, to_signed,
                                     to_unsigned)
 from repro.operators.multipliers.booth import booth_partial_products
+from repro.search.rank import dominates
 from repro.workloads.base import WorkloadResult
 
 
@@ -535,3 +541,33 @@ def seed_monte_carlo_estimate(estimator, netlist, stimulus=None):
     return PowerBreakdown(dynamic_mw=dynamic_fj_per_cycle * 1e-15 * frequency * 1e3,
                           leakage_mw=leakage_nw * 1e-6,
                           register_mw=register_fj_per_cycle * 1e-15 * frequency * 1e3)
+
+
+# ---------------------------------------------------------------------- #
+# Pairwise non-dominated sort
+# ---------------------------------------------------------------------- #
+def pairwise_non_dominated_sort(objectives):
+    """Fronts of ``objectives`` from one ``dominates`` test per pair."""
+    count = len(objectives)
+    dominated_by = [[] for _ in range(count)]
+    domination_count = [0] * count
+    for i in range(count):
+        for j in range(i + 1, count):
+            if dominates(objectives[i], objectives[j]):
+                dominated_by[i].append(j)
+                domination_count[j] += 1
+            elif dominates(objectives[j], objectives[i]):
+                dominated_by[j].append(i)
+                domination_count[i] += 1
+    fronts = []
+    current = [i for i in range(count) if domination_count[i] == 0]
+    while current:
+        fronts.append(sorted(current))
+        upcoming = []
+        for i in current:
+            for j in dominated_by[i]:
+                domination_count[j] -= 1
+                if domination_count[j] == 0:
+                    upcoming.append(j)
+        current = upcoming
+    return fronts

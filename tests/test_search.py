@@ -6,6 +6,7 @@ of the same points, a killed search replays from the store at zero
 simulation cost, and successive halving on the gated space recovers the
 exhaustive Pareto front exactly.
 """
+import hashlib
 import json
 import math
 from random import Random
@@ -27,9 +28,12 @@ from repro.search import (
     non_dominated_sort,
     per_pass_dct_space,
     per_stage_fft_space,
+    rank_population,
     ranked_order,
 )
 from repro.search.evaluator import search_row
+
+from oracles import pairwise_non_dominated_sort
 
 QUALITY, COST = "psnr_db", "total_energy_pj"
 
@@ -93,6 +97,69 @@ def test_ranked_order_sorts_by_rank_then_crowding():
     # Boundary points (infinite crowding) precede the interior point.
     assert order.index(2) > order.index(0)
     assert order.index(2) > order.index(1)
+
+
+def _random_objective_set(rng):
+    """0-64 vectors of 2 or 3 objectives, drawn from a small value pool so
+    coordinate ties and duplicate vectors are common, with ±inf and NaN."""
+    pool = [rng.uniform(-5.0, 5.0) for _ in range(rng.randint(1, 8))]
+    pool += [float("inf"), float("-inf"), float("nan"), 0.0, 1.0]
+    dimensions = rng.choice((2, 3))
+    special = rng.random() < 0.5  # half the sets stay finite
+    values = pool if special else pool[:-3]
+    vectors = [tuple(rng.choice(values) for _ in range(dimensions))
+               for _ in range(rng.randint(0, 64))]
+    for _ in range(rng.randint(0, len(vectors) // 4)):
+        vectors.append(rng.choice(vectors))  # exact duplicates
+    return vectors
+
+
+def test_non_dominated_sort_matches_the_pairwise_oracle():
+    rng = Random(2002)
+    sizes = set()
+    for _ in range(600):
+        objectives = _random_objective_set(rng)
+        sizes.add(len(objectives))
+        assert non_dominated_sort(objectives) == \
+            pairwise_non_dominated_sort(objectives), objectives
+    assert 0 in sizes and max(sizes) >= 64
+
+
+def test_infinite_objective_leaves_crowding_finite_or_boundary():
+    # The negated PSNR of an exact output is -inf: that axis's span is
+    # infinite and must add nothing, as a zero span adds nothing.
+    objectives = [(float("-inf"), 5.0), (-3.0, 2.0), (-2.0, 1.0),
+                  (-1.0, 0.5)]
+    crowding = crowding_distance(objectives, [0, 1, 2, 3])
+    assert not any(math.isnan(d) for d in crowding.values())
+    assert math.isinf(crowding[0]) and math.isinf(crowding[3])
+    assert crowding[1] == pytest.approx(4.0 / 4.5)
+    assert crowding[2] == pytest.approx(1.5 / 4.5)
+    assert ranked_order(objectives) == [0, 3, 1, 2]
+
+
+def test_nan_objectives_never_give_nan_crowding():
+    rng = Random(6)
+    for _ in range(200):
+        objectives = _random_objective_set(rng)
+        ranking = rank_population(objectives)
+        assert not any(math.isnan(d) for d in ranking.crowding)
+        assert sorted(ranking.order) == list(range(len(objectives)))
+
+
+def test_rank_population_is_one_consistent_ranking():
+    objectives = [(1.0, 4.0), (4.0, 1.0), (2.0, 2.0), (5.0, 5.0),
+                  (3.0, 3.0), (6.0, 0.5)]
+    ranking = rank_population(objectives)
+    assert ranking.fronts == non_dominated_sort(objectives)
+    assert ranking.order == ranked_order(objectives)
+    for front_rank, members in enumerate(ranking.fronts):
+        expected = crowding_distance(objectives, members)
+        for index in members:
+            assert ranking.rank[index] == front_rank
+            assert ranking.crowding[index] == expected[index]
+    assert ranking.order == sorted(range(len(objectives)),
+                                   key=ranking.sort_key)
 
 
 # --------------------------------------------------------------------------- #
@@ -174,6 +241,25 @@ def test_all_exact_pass_genome_matches_homogeneous_jpeg():
     assert staged["mssim"] == uniform["mssim"]
     assert staged["additions"] == uniform["additions"]
     assert staged["multiplications"] == uniform["multiplications"]
+
+
+def test_stage_energy_is_charged_once_per_spec(monkeypatch):
+    import repro.core.datapath as datapath
+    from repro.core.datapath import minimal_multiplier_for
+    from repro.operators.adders import TruncatedAdder
+
+    parsed = []
+    real = datapath.parse_operator
+    monkeypatch.setattr(datapath, "parse_operator",
+                        lambda spec: parsed.append(spec) or real(spec))
+    model = DatapathEnergyModel(hardware_samples=200)
+    pairing = model.paired_energy_pj("ADDt(16,10)")
+    assert model.paired_energy_pj("ADDt(16,10)") is pairing
+    assert parsed == ["ADDt(16,10)"]
+    adder = TruncatedAdder(16, 10)
+    assert pairing == (model.energy_per_addition_pj(adder),
+                       model.energy_per_multiplication_pj(
+                           minimal_multiplier_for(adder)))
 
 
 # --------------------------------------------------------------------------- #
@@ -268,6 +354,21 @@ def test_nsga2_same_seed_is_bit_identical(tmp_path):
     assert a["rounds"] == b["rounds"]
     assert json.dumps(a["front"], sort_keys=True) == \
         json.dumps(b["front"], sort_keys=True)
+
+
+def _schedule_digest(rounds):
+    text = json.dumps(rounds, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_candidate_schedules_are_pinned():
+    """Both drivers' candidate schedules, recorded before the ranking was
+    vectorised: ranking changes must not move a single candidate."""
+    halving = small_study().search(
+        SuccessiveHalving(small_space(), seed=5, keep=0.2))
+    evolution = dct_study().search(nsga2())
+    assert _schedule_digest(halving.rounds) == "1fb18d5bbdd63146"
+    assert _schedule_digest(evolution.rounds) == "84580f0af535bc50"
 
 
 def test_nsga2_different_seed_proposes_a_different_schedule(tmp_path):

@@ -1,13 +1,14 @@
 """Tests for the persistent result store and result serialisation round-trips."""
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro import Study
 from repro.core import DatapathEnergyModel, ExperimentResult, ResultStore
-from repro.core.designspace import adder_axis
-from repro.core.store import STORE_VERSION, canonical_key, key_digest
+from repro.core.designspace import adder_axis, adder_point
+from repro.core.store import STORE_VERSION, StoreKey, canonical_key, key_digest
 from repro.hardware.report import HardwareReport
 from repro.operators.adders import TruncatedAdder
 
@@ -34,6 +35,88 @@ class TestCanonicalKeys(object):
         other = canonical_key(generate_point_cloud(50, 3, seed=2))
         assert one == two
         assert one != other
+
+
+    def test_sweep_key_digest_is_pinned(self):
+        # Recorded before keys were canonicalised once per point: the
+        # digest names the record file, so a change here strands every
+        # filled store.
+        key = {"model": 1, "workload": "fft", "seed": 3,
+               "swept": "ADDt(16,12)", "adder": "ADDt(16,12)",
+               "multiplier": None,
+               "config": {"size": 16, "frames": 4, "data_width": 16,
+                          "seed": 3,
+                          "stage_adders": ["ADDt(16,12)", "ACA(16,8)"],
+                          "image": np.arange(6, dtype=np.int64).reshape(2, 3),
+                          "scale": np.float64(0.5),
+                          "pair": (1, 2.5, None, True)}}
+        assert key_digest("sweep", key) == \
+            "7ad193a3c08892098c0c5e2e04e5b6302f29e6a7"
+        record = StoreKey.of("sweep", key)
+        assert record.digest == key_digest("sweep", key)
+        assert record.canonical == canonical_key(key)
+
+
+def _count_canonicalisations(monkeypatch, *modules):
+    """Record every top-level ``canonical_key`` entry made via ``modules``
+    (nested calls of one canonicalisation are not counted)."""
+    import repro.core.store as store_module
+
+    real = store_module.canonical_key
+    depth = [0]
+    calls = []
+
+    def counting(value):
+        if depth[0] == 0:
+            calls.append(value)
+        depth[0] += 1
+        try:
+            return real(value)
+        finally:
+            depth[0] -= 1
+
+    for module in (store_module, *modules):
+        monkeypatch.setattr(module, "canonical_key", counting)
+    return calls
+
+
+class TestKeysComputedOnce(object):
+    def test_design_point_key_is_computed_once_per_point(self, monkeypatch):
+        point = adder_point(TruncatedAdder(16, 12),
+                            config={"frames": 1, "grid": np.arange(3)})
+        calls = _count_canonicalisations(monkeypatch)
+        first = point.key
+        assert point.key is first
+        assert len(calls) == 1
+        # An equal but distinct point computes its own key.
+        twin = replace(point)
+        assert twin == point and twin is not point
+        assert twin.key == first
+        assert len(calls) == 2
+
+    def test_cold_study_canonicalises_each_sweep_key_once(self, tmp_path,
+                                                          monkeypatch):
+        import repro.core.study as study_module
+
+        adders = [TruncatedAdder(16, 12), TruncatedAdder(16, 10)]
+        points = [adder_point(adder) for adder in adders]
+        points.append(adder_point(adders[1], config={"frames": 1}))
+        study = (Study().workload("fft", size=16, frames=2)
+                 .design_space(points).seed(11).store(tmp_path))
+        calls = _count_canonicalisations(monkeypatch, study_module)
+        cold = study.run()
+        # One for the shared merged config, one for the point that
+        # overrides it; the probe and the save on the miss reuse them.
+        assert len(calls) == 2
+        store = ResultStore(tmp_path)
+        assert store.entry_count("sweep") == 3
+        for key in study.point_keys():
+            assert store.path_for("sweep", key).is_file()
+        del calls[:]
+        warm = study.run()
+        assert len(calls) == 2
+        assert warm.metadata["store_hits"] == 3
+        assert warm.rows == cold.rows
 
 
 class TestResultStore(object):
