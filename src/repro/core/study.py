@@ -115,6 +115,10 @@ MODEL_VERSION = 1
 #: configuration and stimulus seed.
 SweepTask = Tuple[Workload, OperatorMap, Dict[str, object], int]
 
+#: One point's :meth:`Study.probe` result: its store key and the recorded
+#: payload, or ``None`` when the point is not recorded.
+Probe = Tuple[StoreKey, Optional[Dict[str, object]]]
+
 
 def _execute_points(tasks: Sequence[SweepTask]) -> List[WorkloadResult]:
     """Run sweep points' functional simulations in one ``run_many`` call.
@@ -377,7 +381,8 @@ class Study:
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #
-    def run(self, workers: int = 1) -> ExperimentResult:
+    def run(self, workers: int = 1,
+            probed: Optional[Sequence[Probe]] = None) -> ExperimentResult:
         """Execute the sweep and emit the experiment result.
 
         ``workers > 1`` fans the functional simulations out over a process
@@ -387,6 +392,10 @@ class Study:
         order, so the result is bit-identical to a serial run.  With a
         configured :meth:`store`, recorded sweep points skip their
         simulation entirely and fresh ones are persisted.
+
+        ``probed`` is this study's :meth:`probe`, taken against the
+        configured store: the run uses its keys and payloads instead of
+        canonicalising and reading each record again.
 
         The requested ``workers`` is resolved through
         :func:`resolve_workers`: capped at the machine's CPU count and
@@ -408,7 +417,8 @@ class Study:
         if store_offered:
             self._energy_model.store = self._store
         try:
-            return self._run_resolved(workload, config, seed, workers)
+            return self._run_resolved(workload, config, seed, workers,
+                                      probed)
         finally:
             if store_offered:
                 self._energy_model.store = None
@@ -453,10 +463,11 @@ class Study:
         """Structural store keys of the resolved sweep points, in sweep order.
 
         The keys are exactly what :meth:`run` would probe a configured
-        :meth:`store` with, so a caller (the evaluation server, a scheduler)
-        can test ``store.contains("sweep", key)`` to predict which points an
+        :meth:`store` with, so a caller (a scheduler) can test
+        ``store.contains("sweep", key)`` to predict which points an
         upcoming run will serve warm — without executing anything.  A
-        sharded study returns only its shard's keys.
+        sharded study returns only its shard's keys.  :meth:`probe` also
+        reads the records, for a run to reuse.
         """
         if self._workload is None:
             raise ValueError("no workload selected; call .workload(...) first")
@@ -465,11 +476,38 @@ class Study:
         _, tasks = self._resolved_tasks(workload, config, seed)
         return [self._sweep_key(task) for _, task in tasks]
 
+    def probe(self) -> List[Probe]:
+        """Read every resolved point's record from the configured store.
+
+        Returns ``(key, payload)`` per point in sweep order (a sharded
+        study: its shard's points), ``payload`` being ``None`` for a point
+        not recorded.  Each key is canonicalised and each record read
+        once; hand the list to :meth:`run` (``probed=``) and the run
+        serves the recorded points from it, saving fresh ones under the
+        same keys.  The evaluation server probes a point to choose
+        between the warm path and its batching queue.
+        """
+        if self._store is None:
+            raise ValueError("no store configured; call .store(...) first")
+        if self._workload is None:
+            raise ValueError("no workload selected; call .workload(...) first")
+        config, seed = self._merged_config(self._workload)
+        _, tasks = self._resolved_tasks(self._workload, config, seed)
+        shared = canonical_key(config)
+        keys = [self._store_key(task, config, shared) for _, task in tasks]
+        return [(key, self._store.load_key(key)) for key in keys]
+
     def _run_resolved(self, workload: Workload, config: Dict[str, object],
-                      seed: int, workers: int) -> ExperimentResult:
+                      seed: int, workers: int,
+                      probed: Optional[Sequence[Probe]] = None
+                      ) -> ExperimentResult:
         """Execute the configured sweep (see :meth:`run`)."""
         points = self._points
         selected, tasks = self._resolved_tasks(workload, config, seed)
+        if probed is not None and (self._store is None
+                                   or len(probed) != len(tasks)):
+            raise ValueError("'probed' must be this study's probe() against "
+                             "its configured store")
 
         front: Optional[ParetoFront] = None
         if self._pareto_axes is not None:
@@ -481,7 +519,8 @@ class Study:
         build_row = self._row_builder or _default_row
         rows: Dict[int, Dict[str, object]] = {}
         store_hits = 0
-        for index, outcome, fresh in self._outcomes(tasks, config, workers):
+        for index, outcome, fresh in self._outcomes(tasks, config, workers,
+                                                    probed):
             point = points[index]
             if not fresh:
                 store_hits += 1
@@ -598,7 +637,8 @@ class Study:
     # Execution internals
     # ------------------------------------------------------------------ #
     def _outcomes(self, tasks: List[Tuple[int, SweepTask]],
-                  config: Dict[str, object], workers: int):
+                  config: Dict[str, object], workers: int,
+                  probed: Optional[Sequence[Probe]] = None):
         """Yield ``(index, WorkloadResult, fresh)`` in completion order.
 
         ``tasks`` pairs each sweep point with its global sweep index (the
@@ -607,15 +647,22 @@ class Study:
         of a process pool as each future completes.  Fresh results are
         written back to the store under the key their probe canonicalised.
         ``config`` is the run's shared merged configuration, canonicalised
-        once here for every point that does not override it.
+        once here for every point that does not override it — unless
+        ``probed`` (aligned with ``tasks``) already holds every key and
+        payload.
         """
         pending: List[Tuple[int, SweepTask]] = []
         keys: Dict[int, StoreKey] = {}
-        shared = canonical_key(config) if self._store is not None else None
-        for index, task in tasks:
+        shared = canonical_key(config) \
+            if self._store is not None and probed is None else None
+        for position, (index, task) in enumerate(tasks):
             if self._store is not None:
-                key = self._store_key(task, config, shared)
-                cached = _record_to_result(self._store.load_key(key))
+                if probed is not None:
+                    key, payload = probed[position]
+                else:
+                    key = self._store_key(task, config, shared)
+                    payload = self._store.load_key(key)
+                cached = _record_to_result(payload)
                 if cached is not None:
                     yield index, cached, False
                     continue

@@ -22,7 +22,7 @@ from typing import Optional
 from ..core.backends import BackendLike, backend_spec
 from ..core.results import ExperimentResult
 from ..core.store import StoreLike
-from ..search import SearchEvaluator, get_target
+from ..search import get_target
 
 #: Search seed of the registry run — part of the experiment's identity:
 #: same seed, same schedule, same rows, same front, on any machine.

@@ -36,7 +36,7 @@ import dataclasses
 import json
 import random
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 #: Plan document schema version; bump when the shape changes.
 FAULT_PLAN_VERSION = 1

@@ -19,8 +19,9 @@ Layers:
   ``evaluate`` requests for the same workload into one banked sweep;
 * :mod:`repro.server.app` — the :class:`EvalServer` HTTP front
   (``python -m repro serve``);
-* :mod:`repro.server.client` — the thin query client
-  (``python -m repro query`` and ``benchmarks/serve_bench.py``).
+* :mod:`repro.server.client` — the thin query client over per-thread
+  keep-alive connections (``python -m repro query`` and
+  ``benchmarks/serve_bench.py``).
 """
 from .app import EvalServer
 from .batching import BatchQueue

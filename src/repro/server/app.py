@@ -2,7 +2,7 @@
 
 A stdlib :class:`~http.server.ThreadingHTTPServer` (one thread per
 connection, no new runtime dependencies) serving the action-dispatch
-protocol:
+protocol over HTTP/1.1 keep-alive connections:
 
 * ``POST /`` — the protocol endpoint: a ``{"action", "params"}`` JSON body
   in, an ``ok``/``error`` envelope out (:mod:`repro.server.protocol`);
@@ -14,6 +14,16 @@ Request threads share one :class:`~repro.server.dispatch.ServerState` —
 the open result store, the hardware characterisation cache and the
 batching queue — which is the entire point of keeping the process alive.
 
+A connection stays open between requests (the client in
+:mod:`repro.server.client` keeps one per thread), so a warm query costs a
+request, not a TCP handshake and a thread start.  Each response leaves in
+a single write — status line, headers and body together — because a
+separate body write would wait on the client's delayed ACK (Nagle's
+algorithm) for tens of milliseconds.  The server tracks its open
+connections: :meth:`EvalServer.stop` and :meth:`EvalServer.drain` hang
+up on idle ones once the in-flight requests are done, and a response
+written while the server is closing carries ``Connection: close``.
+
 ``python -m repro serve`` wraps :func:`EvalServer.serve_forever`; tests and
 benchmarks use :meth:`EvalServer.start` / :meth:`EvalServer.stop` (or the
 context manager) to run the server on a background thread inside their own
@@ -23,10 +33,12 @@ from __future__ import annotations
 
 import json
 import math
+import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional
+from typing import Optional, Set
 
 from ..core.results import _jsonify
 from ..faults.inject import maybe_fault
@@ -45,20 +57,49 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     #: Injected by :func:`_handler_for`; shared by every request thread.
     state: ServerState
+    server: "_TrackingHTTPServer"
 
     protocol_version = "HTTP/1.1"
     #: Stamped into the ``Server`` response header.
     server_version = "repro-serve"
 
+    def setup(self) -> None:
+        super().setup()
+        self.server.mark_idle(self.connection)
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.server.mark_busy(self.connection)  # never hang up on it
+
+    def parse_request(self) -> bool:
+        # A request line arrived: the connection is busy until answered.
+        self.server.mark_busy(self.connection)
+        return super().parse_request()
+
+    def handle_one_request(self) -> None:
+        super().handle_one_request()
+        if not self.server.mark_idle(self.connection):
+            self.close_connection = True
+
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         fault = maybe_fault("server.handler")
+        if fault is not None and fault.kind == "drop":
+            # Close the connection without a response — the client
+            # sees a transport error, exactly like a mid-request
+            # network partition, and its retry loop takes over.
+            self.close_connection = True
+            return
+        # Read the body before any answer: on a kept-alive connection an
+        # unread body would be parsed as the next request.
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            length = 0
+            self.close_connection = True  # the body's end is unknown
+        body = self.rfile.read(length) if length > 0 else b""
         if fault is not None:
-            if fault.kind == "drop":
-                # Close the connection without a response — the client
-                # sees a transport error, exactly like a mid-request
-                # network partition, and its retry loop takes over.
-                self.close_connection = True
-                return
             if fault.kind == "delay":
                 time.sleep(float(fault.params.get("seconds", 0.1)))
             elif fault.kind == "error":
@@ -71,11 +112,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 f"unknown endpoint {self.path!r}; POST the protocol "
                 f"document to '/'"))
             return
-        try:
-            length = int(self.headers.get("Content-Length", 0))
-        except ValueError:
-            length = 0
-        body = self.rfile.read(length) if length > 0 else b""
         try:
             action, params = parse_request(body)
         except Exception as error:
@@ -108,8 +144,12 @@ class _RequestHandler(BaseHTTPRequestHandler):
             # integer, and "come back a touch later" errs safe.
             self.send_header("Retry-After",
                              str(max(1, math.ceil(retry_after))))
-        self.end_headers()
-        self.wfile.write(payload)
+        if self.server.closing:
+            self.send_header("Connection", "close")
+        # end_headers() would flush the head in a write of its own; send
+        # head and body together instead (see the module docstring).
+        self._headers_buffer.extend((b"\r\n", payload))
+        self.flush_headers()
 
     def log_message(self, format: str, *args: object) -> None:
         """Quiet by default: the JSON-on-stdout contract stays clean."""
@@ -117,6 +157,52 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
 def _handler_for(state: ServerState) -> type:
     return type("BoundRequestHandler", (_RequestHandler,), {"state": state})
+
+
+class _TrackingHTTPServer(ThreadingHTTPServer):
+    """A threading HTTP server that knows which connections sit idle.
+
+    A connection is idle between requests: its handler thread is blocked
+    reading the next request line.  :meth:`close_idle` marks the server
+    closing and hangs up on those connections, which ends their threads;
+    a busy connection finishes its request and then closes, because
+    :meth:`mark_idle` refuses it.
+    """
+
+    daemon_threads = True
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        self._connections_lock = threading.Lock()
+        self._idle: Set[socket.socket] = set()
+        self.closing = False
+
+    def mark_busy(self, connection: socket.socket) -> None:
+        with self._connections_lock:
+            self._idle.discard(connection)
+
+    def mark_idle(self, connection: socket.socket) -> bool:
+        """Mark ``connection`` idle; ``False`` if it should close instead."""
+        with self._connections_lock:
+            if self.closing:
+                return False
+            self._idle.add(connection)
+            return True
+
+    def handle_error(self, request: object, client_address: object) -> None:
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return  # the client hung up or reset; nothing to report
+        super().handle_error(request, client_address)
+
+    def close_idle(self) -> None:
+        with self._connections_lock:
+            self.closing = True
+            idle, self._idle = self._idle, set()
+        for connection in idle:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer hung up first
 
 
 class EvalServer:
@@ -137,9 +223,8 @@ class EvalServer:
                              "not both")
         self.state = state if state is not None \
             else ServerState(**state_options)  # type: ignore[arg-type]
-        self._httpd = ThreadingHTTPServer((host, port),
+        self._httpd = _TrackingHTTPServer((host, port),
                                           _handler_for(self.state))
-        self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
 
     # ------------------------------------------------------------------ #
@@ -174,8 +259,10 @@ class EvalServer:
         return self
 
     def stop(self) -> None:
-        """Stop serving and release the socket (idempotent)."""
+        """Stop serving, hang up idle connections and release the socket
+        (idempotent)."""
         self._httpd.shutdown()
+        self._httpd.close_idle()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -186,13 +273,16 @@ class EvalServer:
 
         The SIGTERM path of ``python -m repro serve``.  The listener is
         shut down first (new connections are refused), then in-flight
-        requests get up to ``grace_s`` seconds to finish before the
-        socket closes.  Returns the number of requests still in flight
-        when the grace expired — ``0`` means a perfectly clean drain.
-        Safe to call from a signal-handler-spawned thread: it never runs
-        on the serve loop's own thread.
+        requests get up to ``grace_s`` seconds to finish — each answered
+        with ``Connection: close`` — before the idle keep-alive
+        connections are hung up and the socket closes.  Returns the
+        number of requests still in flight when the grace expired — ``0``
+        means a perfectly clean drain.  Safe to call from a
+        signal-handler-spawned thread: it never runs on the serve loop's
+        own thread.
         """
         self._httpd.shutdown()
+        self._httpd.closing = True
         deadline = time.monotonic() + max(0.0, grace_s)
         while time.monotonic() < deadline:
             with self.state._lock:
@@ -202,6 +292,7 @@ class EvalServer:
             time.sleep(0.05)
         with self.state._lock:
             remaining = self.state._in_flight
+        self._httpd.close_idle()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

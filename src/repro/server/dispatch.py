@@ -286,13 +286,13 @@ def _evaluate(state: ServerState, params: Dict[str, object]
     params = _normalized_evaluate_params(params)
     operator = _require_str(params, "operator")
     study = _evaluate_study(state, params, [operator])
-    key = study.point_keys()[0]
-    cached = state.store is not None and state.store.contains("sweep", key)
     started = time.perf_counter()
+    probed = study.probe() if state.store is not None else None
+    cached = probed is not None and probed[0][1] is not None
     if cached:
         # Warm point: served from the open store in milliseconds — never
-        # made to wait out a batching window.
-        row = study.run().rows[0]
+        # made to wait out a batching window, nor read twice.
+        row = study.run(probed=probed).rows[0]
     else:
         def run_batch(operators: List[object]) -> Sequence[object]:
             # Only the batch leader computes, and only while holding a

@@ -21,7 +21,6 @@ from repro.hardware import (
 )
 from repro.operators import (
     AAMMultiplier,
-    ACAAdder,
     ETAIIAdder,
     ETAIVAdder,
     ExactAdder,

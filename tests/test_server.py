@@ -10,6 +10,7 @@ Three layers under test, mirroring the package:
   `evaluate` calls asserted bit-identical to direct single-threaded
   `Study` runs, and the warm path (second identical query is a store hit).
 """
+import http.client
 import json
 import threading
 import urllib.error
@@ -18,6 +19,7 @@ import urllib.request
 import pytest
 
 from repro.core.results import _jsonify
+from repro.core.store import ResultStore
 from repro.core.study import Study
 from repro.server import (
     BatchQueue,
@@ -290,6 +292,27 @@ class TestDispatch:
         assert status["store"]["records"] > 0
         assert status["store"]["hits"] > 0
 
+    def test_warm_evaluate_reads_its_sweep_record_once(self, tmp_path,
+                                                       monkeypatch):
+        state = ServerState(store=str(tmp_path / "store"),
+                            batch_window_s=0.0)
+        params = dict(WORKLOAD, adder="ACA(16,8)")
+        cold = dispatch(state, "evaluate", params)
+        assert cold["result"]["cached"] is False
+
+        loads = []
+        load_key = ResultStore.load_key
+
+        def counting_load_key(store, record):
+            loads.append(record.kind)
+            return load_key(store, record)
+
+        monkeypatch.setattr(ResultStore, "load_key", counting_load_key)
+        warm = dispatch(state, "evaluate", params)
+        assert warm["result"]["cached"] is True
+        assert loads.count("sweep") == 1
+        assert warm["result"]["row"] == cold["result"]["row"]
+
     def test_worker_count_is_validated(self):
         with pytest.raises(ValueError):
             ServerState(workers=0)
@@ -387,6 +410,170 @@ class TestEvalServer:
         with EvalServer() as server:
             assert server.port > 0
             assert str(server.port) in server.url
+
+
+# --------------------------------------------------------------------------- #
+# Persistent client connections
+# --------------------------------------------------------------------------- #
+@pytest.fixture()
+def connects(monkeypatch):
+    """Every ``HTTPConnection`` that dials, in order (one entry per TCP
+    connect the client makes)."""
+    dialled = []
+    connect = http.client.HTTPConnection.connect
+
+    def counting_connect(connection):
+        dialled.append(connection)
+        return connect(connection)
+
+    monkeypatch.setattr(http.client.HTTPConnection, "connect",
+                        counting_connect)
+    return dialled
+
+
+class TestPersistentConnections:
+    def test_one_thread_streams_over_one_connection(self, connects):
+        with EvalServer(batch_window_s=0.0) as server:
+            for _ in range(50):
+                assert query(server.url, "status")["status"] == "ok"
+            assert len(connects) == 1
+            assert query(server.url, "status")["result"]["requests"] \
+                == {"status": 51}
+
+    def test_two_threads_use_two_connections(self, connects):
+        with EvalServer(batch_window_s=0.0) as server:
+            barrier = threading.Barrier(2)
+            answers = []
+
+            def stream():
+                barrier.wait()
+                for _ in range(5):
+                    answers.append(query(server.url, "status")["status"])
+
+            threads = [threading.Thread(target=stream) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert answers == ["ok"] * 10
+            assert len(connects) == 2
+            # Each thread's connection closed when the thread ended.
+            assert all(connection.sock is None for connection in connects)
+
+    def test_each_response_leaves_in_one_write(self, monkeypatch):
+        import socketserver
+
+        writes = []
+        write = socketserver._SocketWriter.write
+
+        def counting_write(writer, data):
+            writes.append(len(data))
+            return write(writer, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write",
+                            counting_write)
+        with EvalServer(batch_window_s=0.0) as server:
+            for action in ("status", "experiments", "frobnicate"):
+                query(server.url, action)
+        assert len(writes) == 3
+
+    def test_cached_connection_redials_a_restarted_server(self, connects):
+        first = EvalServer(batch_window_s=0.0).start()
+        port = first.port
+        try:
+            assert query(first.url, "status")["status"] == "ok"
+        finally:
+            first.stop()
+        with EvalServer(port=port, batch_window_s=0.0) as second:
+            # The kept connection was hung up by stop(); the one re-dial
+            # is not a retry, so retries=0 still gets the answer.
+            envelope = query(second.url, "status", retries=0)
+            assert envelope["status"] == "ok"
+            assert envelope["result"]["requests"] == {"status": 1}
+        assert len(connects) == 2
+
+    def test_drop_fault_over_a_kept_connection_reaches_the_retry_loop(
+            self, connects):
+        from repro.faults import FaultPlan, FaultRule, activate, deactivate
+        from repro.server import ServerUnavailable
+
+        def drops(*nth):
+            return FaultPlan(seed=0, rules=(FaultRule(
+                point="server.handler", kind="drop", nth=nth),))
+
+        with EvalServer(batch_window_s=0.0) as server:
+            try:
+                # The kept connection and its re-dial are both dropped:
+                # the failure is the retry loop's, which retries=0 ends...
+                assert query(server.url, "status")["status"] == "ok"
+                activate(drops(1, 2))
+                with pytest.raises(ServerUnavailable):
+                    query(server.url, "status", retries=0)
+                deactivate()
+                assert len(connects) == 2
+                # ...and which retries=1 turns into an answer.
+                assert query(server.url, "status")["status"] == "ok"
+                activate(drops(1, 2))
+                envelope = query(server.url, "status", retries=1,
+                                 retry_base_delay=0.01)
+                assert envelope["status"] == "ok"
+            finally:
+                deactivate()
+        assert len(connects) == 5
+
+    def test_no_client_socket_is_left_open_at_exit(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        # Connections of an ended thread, of a stopped server and of the
+        # main thread at exit: each is closed, never garbage-collected.
+        script = "\n".join([
+            "import threading",
+            "from repro.server import EvalServer, query",
+            "server = EvalServer(batch_window_s=0.0).start()",
+            "query(server.url, 'status')",
+            "worker = threading.Thread(",
+            "    target=lambda: query(server.url, 'status'))",
+            "worker.start(); worker.join()",
+            "other = EvalServer(batch_window_s=0.0).start()",
+            "query(other.url, 'status')",
+            "other.stop(); server.stop()",
+        ])
+        env = dict(os.environ)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-W", "always::ResourceWarning", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert completed.returncode == 0, completed.stderr
+        assert "ResourceWarning" not in completed.stderr
+
+    def test_503_keeps_its_retry_after_floor_over_a_kept_connection(
+            self, connects, monkeypatch):
+        import time as time_module
+        from types import SimpleNamespace
+
+        from repro.server import client
+        from repro.server.protocol import ERROR_OVERLOADED
+
+        sleeps = []
+        monkeypatch.setattr(client, "time", SimpleNamespace(
+            monotonic=time_module.monotonic, sleep=sleeps.append))
+        with EvalServer(batch_window_s=0.0, workers=1,
+                        deadline_s=0.05) as server:
+            assert query(server.url, "status")["status"] == "ok"
+            assert server.state._slots.acquire(timeout=1)
+            try:
+                envelope = query(server.url, "evaluate",
+                                 dict(WORKLOAD, adder="ADD(16)"),
+                                 retries=1, retry_base_delay=0.01)
+            finally:
+                server.state._slots.release()
+        assert envelope["code"] == ERROR_OVERLOADED
+        assert sleeps and sleeps[0] >= 1.0  # the Retry-After floor
+        assert len(connects) == 1
 
 
 # --------------------------------------------------------------------------- #
