@@ -493,6 +493,13 @@ class Study:
             raise ValueError("no workload selected; call .workload(...) first")
         config, seed = self._merged_config(self._workload)
         _, tasks = self._resolved_tasks(self._workload, config, seed)
+        return self._probe(tasks, config)
+
+    def _probe(self, tasks: List[Tuple[int, SweepTask]],
+               config: Dict[str, object]) -> List[Probe]:
+        """:meth:`probe` of resolved ``tasks``: ``config`` is the run's
+        shared merged configuration, canonicalised once for every point
+        that does not override it."""
         shared = canonical_key(config)
         keys = [self._store_key(task, config, shared) for _, task in tasks]
         return [(key, self._store.load_key(key)) for key in keys]
@@ -508,6 +515,8 @@ class Study:
                                    or len(probed) != len(tasks)):
             raise ValueError("'probed' must be this study's probe() against "
                              "its configured store")
+        if self._store is not None and probed is None:
+            probed = self._probe(tasks, config)
 
         front: Optional[ParetoFront] = None
         if self._pareto_axes is not None:
@@ -519,8 +528,7 @@ class Study:
         build_row = self._row_builder or _default_row
         rows: Dict[int, Dict[str, object]] = {}
         store_hits = 0
-        for index, outcome, fresh in self._outcomes(tasks, config, workers,
-                                                    probed):
+        for index, outcome, fresh in self._outcomes(tasks, workers, probed):
             point = points[index]
             if not fresh:
                 store_hits += 1
@@ -636,32 +644,23 @@ class Study:
     # ------------------------------------------------------------------ #
     # Execution internals
     # ------------------------------------------------------------------ #
-    def _outcomes(self, tasks: List[Tuple[int, SweepTask]],
-                  config: Dict[str, object], workers: int,
-                  probed: Optional[Sequence[Probe]] = None):
+    def _outcomes(self, tasks: List[Tuple[int, SweepTask]], workers: int,
+                  probed: Optional[Sequence[Probe]]):
         """Yield ``(index, WorkloadResult, fresh)`` in completion order.
 
         ``tasks`` pairs each sweep point with its global sweep index (the
-        two differ in a sharded run).  Store-recorded points short-circuit
-        first (``fresh=False``); the remainder runs serially or streams out
-        of a process pool as each future completes.  Fresh results are
-        written back to the store under the key their probe canonicalised.
-        ``config`` is the run's shared merged configuration, canonicalised
-        once here for every point that does not override it — unless
-        ``probed`` (aligned with ``tasks``) already holds every key and
-        payload.
+        two differ in a sharded run).  ``probed`` — ``None`` without a
+        store — holds each task's store key and recorded payload (see
+        :meth:`probe`).  Store-recorded points short-circuit first
+        (``fresh=False``); the remainder runs serially or streams out of a
+        process pool as each future completes.  Fresh results are written
+        back to the store under their probed key.
         """
         pending: List[Tuple[int, SweepTask]] = []
         keys: Dict[int, StoreKey] = {}
-        shared = canonical_key(config) \
-            if self._store is not None and probed is None else None
         for position, (index, task) in enumerate(tasks):
-            if self._store is not None:
-                if probed is not None:
-                    key, payload = probed[position]
-                else:
-                    key = self._store_key(task, config, shared)
-                    payload = self._store.load_key(key)
+            if probed is not None:
+                key, payload = probed[position]
                 cached = _record_to_result(payload)
                 if cached is not None:
                     yield index, cached, False

@@ -21,8 +21,9 @@ a single write — status line, headers and body together — because a
 separate body write would wait on the client's delayed ACK (Nagle's
 algorithm) for tens of milliseconds.  The server tracks its open
 connections: :meth:`EvalServer.stop` and :meth:`EvalServer.drain` hang
-up on idle ones once the in-flight requests are done, and a response
-written while the server is closing carries ``Connection: close``.
+up on idle ones at once, so no new request starts on them, and a
+request in flight is answered with ``Connection: close`` and then its
+connection closes.
 
 ``python -m repro serve`` wraps :func:`EvalServer.serve_forever`; tests and
 benchmarks use :meth:`EvalServer.start` / :meth:`EvalServer.stop` (or the
@@ -65,17 +66,21 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def setup(self) -> None:
         super().setup()
-        self.server.mark_idle(self.connection)
+        if not self.server.mark_idle(self.connection):
+            _hang_up(self.connection)  # accepted just before closing
 
     def finish(self) -> None:
         try:
             super().finish()
         finally:
-            self.server.mark_busy(self.connection)  # never hang up on it
+            self.server.forget(self.connection)
 
     def parse_request(self) -> bool:
-        # A request line arrived: the connection is busy until answered.
-        self.server.mark_busy(self.connection)
+        # A request line arrived: the connection is busy until answered,
+        # unless the server hung it up while it sat idle.
+        if not self.server.mark_busy(self.connection):
+            self.close_connection = True
+            return False
         return super().parse_request()
 
     def handle_one_request(self) -> None:
@@ -134,6 +139,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _respond(self, envelope: dict) -> None:
         payload = json.dumps(envelope, sort_keys=True,
                              default=_jsonify).encode("utf-8")
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(payload)  # no status line, no headers
+            return
         self.send_response(http_status(envelope))
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -159,14 +167,24 @@ def _handler_for(state: ServerState) -> type:
     return type("BoundRequestHandler", (_RequestHandler,), {"state": state})
 
 
+def _hang_up(connection: socket.socket) -> None:
+    try:
+        connection.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # the peer hung up first
+
+
 class _TrackingHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server that knows which connections sit idle.
 
     A connection is idle between requests: its handler thread is blocked
-    reading the next request line.  :meth:`close_idle` marks the server
-    closing and hangs up on those connections, which ends their threads;
-    a busy connection finishes its request and then closes, because
-    :meth:`mark_idle` refuses it.
+    reading the next request line.  It is busy from its request line to
+    the end of its response.  :meth:`close_idle` marks the server closing
+    and hangs up on the idle connections, which ends their threads; a
+    request line that arrives on one of them after that is refused
+    (:meth:`mark_busy`), and a busy connection finishes its request and
+    then closes, because :meth:`mark_idle` refuses it.  So once closing,
+    the number of busy connections only falls.
     """
 
     daemon_threads = True
@@ -175,19 +193,37 @@ class _TrackingHTTPServer(ThreadingHTTPServer):
         super().__init__(*args, **kwargs)
         self._connections_lock = threading.Lock()
         self._idle: Set[socket.socket] = set()
+        self._busy: Set[socket.socket] = set()
         self.closing = False
 
-    def mark_busy(self, connection: socket.socket) -> None:
+    def mark_busy(self, connection: socket.socket) -> bool:
+        """Mark idle ``connection`` busy; ``False`` if it was hung up."""
         with self._connections_lock:
+            if connection not in self._idle:
+                return False
             self._idle.discard(connection)
+            self._busy.add(connection)
+            return True
 
     def mark_idle(self, connection: socket.socket) -> bool:
         """Mark ``connection`` idle; ``False`` if it should close instead."""
         with self._connections_lock:
+            self._busy.discard(connection)
             if self.closing:
                 return False
             self._idle.add(connection)
             return True
+
+    def forget(self, connection: socket.socket) -> None:
+        """Drop a connection that is closing, so nothing hangs it up."""
+        with self._connections_lock:
+            self._idle.discard(connection)
+            self._busy.discard(connection)
+
+    def busy(self) -> int:
+        """The number of connections with a request being answered."""
+        with self._connections_lock:
+            return len(self._busy)
 
     def handle_error(self, request: object, client_address: object) -> None:
         if isinstance(sys.exc_info()[1], ConnectionError):
@@ -199,10 +235,7 @@ class _TrackingHTTPServer(ThreadingHTTPServer):
             self.closing = True
             idle, self._idle = self._idle, set()
         for connection in idle:
-            try:
-                connection.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # the peer hung up first
+            _hang_up(connection)
 
 
 class EvalServer:
@@ -272,27 +305,22 @@ class EvalServer:
         """Graceful shutdown: stop accepting, finish in-flight requests.
 
         The SIGTERM path of ``python -m repro serve``.  The listener is
-        shut down first (new connections are refused), then in-flight
-        requests get up to ``grace_s`` seconds to finish — each answered
-        with ``Connection: close`` — before the idle keep-alive
-        connections are hung up and the socket closes.  Returns the
-        number of requests still in flight when the grace expired — ``0``
-        means a perfectly clean drain.  Safe to call from a
-        signal-handler-spawned thread: it never runs on the serve loop's
-        own thread.
+        shut down first (new connections are refused) and the idle
+        keep-alive connections are hung up, so no new request starts;
+        then the requests in flight get up to ``grace_s`` seconds to
+        finish — each answered with ``Connection: close`` — before the
+        socket closes.  Returns the number of requests still in flight
+        when the grace expired — ``0`` means a perfectly clean drain.
+        Safe to call from a signal-handler-spawned thread: it never runs
+        on the serve loop's own thread.
         """
         self._httpd.shutdown()
-        self._httpd.closing = True
-        deadline = time.monotonic() + max(0.0, grace_s)
-        while time.monotonic() < deadline:
-            with self.state._lock:
-                remaining = self.state._in_flight
-            if remaining == 0:
-                break
-            time.sleep(0.05)
-        with self.state._lock:
-            remaining = self.state._in_flight
         self._httpd.close_idle()
+        deadline = time.monotonic() + max(0.0, grace_s)
+        remaining = self._httpd.busy()
+        while remaining and time.monotonic() < deadline:
+            time.sleep(0.05)
+            remaining = self._httpd.busy()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

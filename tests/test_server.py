@@ -356,6 +356,24 @@ class TestEvalServer:
             assert json.loads(caught.value.read())["code"] == \
                 ERROR_BAD_REQUEST
 
+    def test_http_0_9_get_status_gets_the_bare_body(self):
+        import socket
+
+        with EvalServer(batch_window_s=0.0) as server:
+            with socket.create_connection((server.host, server.port),
+                                          timeout=10) as raw:
+                raw.sendall(b"GET /status\r\n\r\n")  # no version, no headers
+                received = b""
+                while True:
+                    chunk = raw.recv(65536)
+                    if not chunk:
+                        break
+                    received += chunk
+        # HTTP/0.9 has no status line and no headers: the body alone.
+        document = json.loads(received)
+        assert document["status"] == "ok"
+        assert document["action"] == "status"
+
     def test_concurrent_evaluates_are_bit_identical_to_direct_runs(
             self, tmp_path):
         operators = ["ADD(16)", "ACA(16,8)", "ACA(16,4)", "ETAII(16,4)",
@@ -682,3 +700,80 @@ class TestLoadSheddingAndDrain:
         worker.join(timeout=30)
         assert remaining == 0
         assert done["envelope"]["status"] == "ok"
+
+    def test_a_hung_up_idle_connection_cannot_start_a_request(self):
+        import socket
+
+        server = EvalServer(batch_window_s=0.0)  # never started
+        httpd = server._httpd
+        ours, theirs = socket.socketpair()
+        try:
+            assert httpd.mark_idle(ours)
+            httpd.close_idle()
+            # A request line read just after the hang-up is refused...
+            assert not httpd.mark_busy(ours)
+            assert httpd.busy() == 0
+            # ...the connection is never kept again, and the peer saw EOF.
+            assert not httpd.mark_idle(ours)
+            assert theirs.recv(1) == b""
+        finally:
+            ours.close()
+            theirs.close()
+            httpd.server_close()
+
+    def test_drain_refuses_requests_on_idle_connections(self):
+        import time as time_module
+
+        from repro.faults import FaultPlan, FaultRule, activate, deactivate
+
+        def wait_for(condition):
+            deadline = time_module.monotonic() + 10.0
+            while not condition():
+                assert time_module.monotonic() < deadline
+                time_module.sleep(0.005)
+
+        server = EvalServer(batch_window_s=0.0).start()
+        idle = http.client.HTTPConnection(server.host, server.port,
+                                          timeout=10)
+        done = {}
+        try:
+            idle.request("GET", "/status")
+            response = idle.getresponse()
+            response.read()
+            assert response.status == 200 and not response.will_close
+            wait_for(lambda: server._httpd.busy() == 0)
+
+            # One request held in its handler, before it reaches dispatch.
+            activate(FaultPlan(seed=0, rules=(FaultRule(
+                point="server.handler", kind="delay", nth=(1,),
+                params={"seconds": 1.0}),)))
+            slow = threading.Thread(target=lambda: done.update(
+                envelope=query(server.url, "status", timeout=30)))
+            slow.start()
+            wait_for(lambda: server._httpd.busy() == 1)
+
+            drained = {}
+
+            def drain():
+                started = time_module.monotonic()
+                drained["remaining"] = server.drain(grace_s=30.0)
+                drained["elapsed"] = time_module.monotonic() - started
+
+            drainer = threading.Thread(target=drain)
+            drainer.start()
+            wait_for(lambda: server._httpd.closing)
+            # The kept connection was hung up: its new request never starts.
+            with pytest.raises((http.client.HTTPException, OSError)):
+                idle.request("GET", "/status")
+                idle.getresponse().read()
+            drainer.join(timeout=30)
+            slow.join(timeout=30)
+        finally:
+            deactivate()
+            idle.close()
+        # drain() waited out the held request, then reported nothing left.
+        assert drained["remaining"] == 0
+        assert drained["elapsed"] >= 0.5
+        assert done["envelope"]["status"] == "ok"
+        assert server.state.snapshot()["requests"] == {"status": 2}
+        server.stop()
