@@ -199,8 +199,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Serve evaluate/pareto/experiments/status requests over "
                     "JSON-over-HTTP, keeping the hardware characterisation "
                     "cache and the result store warm "
-                    "between requests and batching concurrent same-workload "
-                    "evaluations into single sweeps.")
+                    "between requests.  A cold evaluate computes at once "
+                    "while a compute slot is free; concurrent requests for "
+                    "a point being computed share that computation, and "
+                    "same-workload evaluations waiting for a slot run as "
+                    "one sweep.")
     serve.add_argument("--host", default="127.0.0.1", metavar="ADDR",
                        help="interface to bind (default: %(default)s)")
     serve.add_argument("--port", type=int, default=8023, metavar="PORT",
@@ -215,11 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--store", metavar="DIR", default=None,
                        help="persistent result store shared by all "
                             "requests; warm hits are served from it")
-    serve.add_argument("--batch-window", type=float, default=0.02,
-                       metavar="SECONDS",
-                       help="how long a cold evaluate waits to coalesce "
-                            "with concurrent requests; 0 disables batching "
-                            "(default: %(default)s)")
     serve.add_argument("--deadline", type=float, default=None,
                        metavar="SECONDS",
                        help="request deadline for load shedding: a request "
@@ -680,7 +678,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     server = EvalServer(host=args.host, port=args.port, store=args.store,
                         backend=args.backend, workers=args.workers,
-                        batch_window_s=args.batch_window,
                         deadline_s=args.deadline)
     _log(f"serving on {server.url} (workers={args.workers}, "
          f"backend={args.backend!r}, store={args.store!r}); Ctrl-C to stop")

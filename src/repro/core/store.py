@@ -250,6 +250,11 @@ class ResultStore:
             self._saves += 1
         return path
 
+    def has_key(self, record: StoreKey) -> bool:
+        """Whether a record file exists under ``record``: one ``stat``, no
+        read and no validation (:meth:`load_key` does both)."""
+        return self._path(record).is_file()
+
     def contains(self, kind: str, key: object) -> bool:
         """Whether a *valid* record exists for ``(kind, key)``."""
         return self.load(kind, key) is not None

@@ -15,8 +15,10 @@ Layers:
 * :mod:`repro.server.dispatch` — the action handlers (``evaluate``,
   ``pareto``, ``experiments``, ``status``) over one shared
   :class:`ServerState`;
-* :mod:`repro.server.batching` — the queue that coalesces concurrent
-  ``evaluate`` requests for the same workload into one banked sweep;
+* :mod:`repro.server.batching` — the single-flight queue through which
+  cold ``evaluate`` requests compute: each point once, however many
+  clients ask for it, and same-workload points that wait for a compute
+  slot as one banked sweep;
 * :mod:`repro.server.app` — the :class:`EvalServer` HTTP front
   (``python -m repro serve``);
 * :mod:`repro.server.client` — the thin query client over per-thread

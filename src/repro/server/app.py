@@ -11,8 +11,9 @@ protocol over HTTP/1.1 keep-alive connections:
   composing a request body.
 
 Request threads share one :class:`~repro.server.dispatch.ServerState` —
-the open result store, the hardware characterisation cache and the
-batching queue — which is the entire point of keeping the process alive.
+the open result store, the hardware characterisation cache, the compute
+slots and the batching queue that computes each cold point once — which
+is the entire point of keeping the process alive.
 
 A connection stays open between requests (the client in
 :mod:`repro.server.client` keeps one per thread), so a warm query costs a
@@ -243,8 +244,8 @@ class EvalServer:
 
     ``port=0`` binds an ephemeral port (read it back from :attr:`port`),
     which is how the in-process tests and the load bench run.  State
-    parameters (``store``, ``backend``, ``workers``, ``batch_window_s``,
-    ``deadline_s``) construct a fresh :class:`~repro.server.dispatch.ServerState`
+    parameters (``store``, ``backend``, ``workers``, ``deadline_s``)
+    construct a fresh :class:`~repro.server.dispatch.ServerState`
     unless one is passed in.
     """
 

@@ -15,9 +15,11 @@ Actions:
     ``word_length`` next to the operators and metrics.  Points recorded in the shared
     :class:`~repro.core.store.ResultStore` are served warm and immediately;
     cold points flow through the :class:`~repro.server.batching.BatchQueue`,
-    which coalesces concurrent same-workload evaluations into one banked
-    sweep.  Batched, warm or cold, the row is bit-identical to a direct
-    single-threaded :class:`~repro.core.study.Study` run.
+    which computes a cold point at once when a compute slot is free, joins
+    a request to the computation of its point when one is already queued
+    or running, and coalesces same-workload points that wait for a slot
+    into one banked sweep.  Batched, warm or cold, the row is bit-identical
+    to a direct single-threaded :class:`~repro.core.study.Study` run.
 ``pareto``
     Quality-versus-cost Pareto front of a described design space over a
     workload, using the incremental front machinery (and the store, so a
@@ -33,6 +35,7 @@ Actions:
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import threading
 import time
@@ -55,7 +58,7 @@ from ..core.designspace import (
     sized_multiplier_axis,
 )
 from ..core.registry import describe_operators, parse_operator, registered_mnemonics
-from ..core.store import ResultStore, StoreLike, canonical_key
+from ..core.store import ResultStore, StoreKey, StoreLike, canonical_key
 from ..core.study import Study
 from ..operators.base import AdderOperator, MultiplierOperator
 from ..workloads.registry import registered_workloads
@@ -99,8 +102,7 @@ class ServerState:
     """
 
     def __init__(self, store: StoreLike = None, backend: str = "direct",
-                 workers: int = 4, batch_window_s: float = 0.02,
-                 deadline_s: Optional[float] = None) -> None:
+                 workers: int = 4, deadline_s: Optional[float] = None) -> None:
         if workers < 1:
             raise ValueError("the server needs at least one worker slot")
         if deadline_s is not None and deadline_s <= 0:
@@ -110,9 +112,9 @@ class ServerState:
         self.workers = int(workers)
         self.deadline_s = deadline_s
         self.energy_model = _SharedEnergyModel(store=self.store)
-        self.batcher = BatchQueue(window_s=batch_window_s)
         self.started_monotonic = time.monotonic()
         self._slots = threading.BoundedSemaphore(self.workers)
+        self.batcher = BatchQueue(slot=self.worker_slot)
         self._lock = threading.Lock()
         self._requests: Dict[str, int] = {}
         self._errors: Dict[str, int] = {}
@@ -281,6 +283,33 @@ def _normalized_evaluate_params(params: Dict[str, object]
     return normalized
 
 
+@dataclasses.dataclass(frozen=True)
+class _ColdPoint:
+    """A cold evaluate's batch item: its operator, which identifies the
+    point within a batch group, and the store key its probe canonicalised
+    (``None`` without a store), which the batch run reuses."""
+
+    operator: str
+    key: Optional[StoreKey] = dataclasses.field(compare=False)
+
+
+def _run_cold(state: ServerState, params: Dict[str, object],
+              points: List[_ColdPoint]) -> Sequence[object]:
+    """Rows of one batch of cold points, computed as one sweep."""
+    study = _evaluate_study(state, params,
+                            [point.operator for point in points])
+    if state.store is None:
+        return study.run().rows
+    # A point probed as a miss may have been recorded since by a batch
+    # that finished just before this one opened: read it, do not
+    # recompute it.  Other points cost one stat, not a second read.
+    store = state.store
+    return study.run(probed=[
+        (point.key, store.load_key(point.key)
+         if store.has_key(point.key) else None)
+        for point in points]).rows
+
+
 def _evaluate(state: ServerState, params: Dict[str, object]
               ) -> Dict[str, object]:
     params = _normalized_evaluate_params(params)
@@ -290,21 +319,14 @@ def _evaluate(state: ServerState, params: Dict[str, object]
     probed = study.probe() if state.store is not None else None
     cached = probed is not None and probed[0][1] is not None
     if cached:
-        # Warm point: served from the open store in milliseconds — never
-        # made to wait out a batching window, nor read twice.
+        # Warm point: served from the open store, read once.
         row = study.run(probed=probed).rows[0]
     else:
-        def run_batch(operators: List[object]) -> Sequence[object]:
-            # Only the batch leader computes, and only while holding a
-            # worker slot — followers wait slot-free, so the worker cap
-            # bounds concurrent sweeps without capping coalescing width.
-            with state.worker_slot():
-                batched = _evaluate_study(state, params,
-                                          [str(op) for op in operators])
-                return batched.run().rows
-
-        row = state.batcher.submit(_evaluate_group_key(params), operator,
-                                   run_batch)
+        point = _ColdPoint(operator,
+                           probed[0][0] if probed is not None else None)
+        row = state.batcher.submit(
+            _evaluate_group_key(params), point,
+            lambda points: _run_cold(state, params, points))
     return {
         "row": _jsonable(row),
         "cached": cached,

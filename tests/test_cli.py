@@ -291,7 +291,7 @@ def test_repro_quiet_env_silences_stderr(capsys, monkeypatch, tmp_path):
 def test_query_round_trip_and_exit_codes(capsys):
     from repro.server import EvalServer
 
-    with EvalServer(batch_window_s=0.0) as server:
+    with EvalServer() as server:
         status, document, _ = run_cli(
             capsys, "query", "status", "--url", server.url)
         assert status == 0

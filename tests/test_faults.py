@@ -335,7 +335,7 @@ class TestServerFaults(object):
     def test_drop_then_recovery_via_client_retries(self):
         activate(make_plan(FaultRule(
             point="server.handler", kind="drop", nth=(1,))))
-        with EvalServer(batch_window_s=0.0) as server:
+        with EvalServer() as server:
             # The first request's connection is dropped mid-flight; the
             # client's transport retry turns it into a served answer.
             envelope = query(server.url, "status", retries=3,
@@ -347,14 +347,14 @@ class TestServerFaults(object):
 
         activate(make_plan(FaultRule(
             point="server.handler", kind="drop", probability=1.0)))
-        with EvalServer(batch_window_s=0.0) as server:
+        with EvalServer() as server:
             with pytest.raises(ServerUnavailable):
                 query(server.url, "status", retries=0)
 
     def test_injected_error_is_a_500_envelope(self):
         activate(make_plan(FaultRule(
             point="server.handler", kind="error", nth=(1,))))
-        with EvalServer(batch_window_s=0.0) as server:
+        with EvalServer() as server:
             request = urllib.request.Request(
                 server.url + "/",
                 data=b'{"action": "status"}', method="POST")
@@ -372,6 +372,6 @@ class TestServerFaults(object):
         activate(make_plan(FaultRule(
             point="server.handler", kind="delay", nth=(1,),
             params={"seconds": 0.05})))
-        with EvalServer(batch_window_s=0.0) as server:
+        with EvalServer() as server:
             assert query(server.url, "status",
                          retries=0)["status"] == "ok"

@@ -96,33 +96,87 @@ class TestProtocol:
 # --------------------------------------------------------------------------- #
 # Batching
 # --------------------------------------------------------------------------- #
+def _wait_until(condition, timeout=10.0):
+    import time
+
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.002)
+
+
+def _submit_in_threads(queue, group, items, execute):
+    """Submit each item from its own thread; returns the threads (started)
+    and the ``{thread index: result or exception}`` they fill in."""
+    outcomes = {}
+
+    def submit(index, item):
+        try:
+            outcomes[index] = queue.submit(group, item, execute)
+        except Exception as error:  # noqa: BLE001 - recorded for asserts
+            outcomes[index] = error
+
+    threads = [threading.Thread(target=submit, args=(index, item))
+               for index, item in enumerate(items)]
+    for thread in threads:
+        thread.start()
+    return threads, outcomes
+
+
+def _join(threads, timeout=30.0):
+    for thread in threads:
+        thread.join(timeout)
+        assert not thread.is_alive(), "a submitting thread never returned"
+
+
+def _members(queue, group, item):
+    """Requests waiting on the batch that holds ``item`` (0 if none)."""
+    with queue._lock:
+        pending = queue._pending.get((group, item))
+        return pending[0].members if pending is not None else 0
+
+
 class TestBatchQueue:
     def test_single_submit_executes_alone(self):
-        queue = BatchQueue(window_s=0)
+        queue = BatchQueue()
         result = queue.submit("g", 3, lambda items: [item * 2
                                                      for item in items])
         assert result == 6
         assert queue.stats()["batches"] == 1
         assert queue.stats()["coalesced"] == 0
 
+    def test_a_lone_submit_with_a_free_slot_never_sleeps(self, monkeypatch):
+        import time
+
+        def no_sleep(seconds):
+            raise AssertionError(f"slept {seconds}s")
+
+        monkeypatch.setattr(time, "sleep", no_sleep)
+        state = ServerState(workers=1)
+        result = state.batcher.submit("g", 3, lambda items: [item * 2
+                                                             for item in items])
+        assert result == 6
+        assert state.batcher.stats() == {"batches": 1, "requests": 1,
+                                         "largest_batch": 1, "coalesced": 0}
+
     def test_concurrent_submits_coalesce_into_one_execution(self):
-        queue = BatchQueue(window_s=0.1)
+        state = ServerState(workers=1)
+        queue = state.batcher
         executions = []
-        results = {}
 
         def execute(items):
             executions.append(list(items))
             return [item * 10 for item in items]
 
-        def submit(item):
-            results[item] = queue.submit("g", item, execute)
-
-        threads = [threading.Thread(target=submit, args=(i,))
-                   for i in range(5)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        assert state._slots.acquire(timeout=1)  # hold the only slot
+        try:
+            threads, results = _submit_in_threads(queue, "g", range(5),
+                                                  execute)
+            _wait_until(lambda: all(_members(queue, "g", item)
+                                    for item in range(5)))
+        finally:
+            state._slots.release()
+        _join(threads)
         assert len(executions) == 1
         assert sorted(executions[0]) == [0, 1, 2, 3, 4]
         assert results == {i: i * 10 for i in range(5)}
@@ -132,49 +186,174 @@ class TestBatchQueue:
         assert stats["largest_batch"] == 5
         assert stats["coalesced"] == 4
 
+    def test_a_repeated_item_is_executed_once(self):
+        state = ServerState(workers=1)
+        executions = []
+
+        def execute(items):
+            executions.append(list(items))
+            return [item * 10 for item in items]
+
+        assert state._slots.acquire(timeout=1)
+        try:
+            threads, results = _submit_in_threads(state.batcher, "g",
+                                                  [1, 2, 1], execute)
+            _wait_until(lambda: _members(state.batcher, "g", 1) == 3)
+        finally:
+            state._slots.release()
+        _join(threads)
+        assert executions == [[1, 2]] or executions == [[2, 1]]
+        assert results == {0: 10, 1: 20, 2: 10}
+        assert state.batcher.stats()["requests"] == 3
+
+    def test_a_submit_during_execution_shares_its_result(self):
+        queue = BatchQueue()
+        running, release = threading.Event(), threading.Event()
+        executions = []
+
+        def execute(items):
+            executions.append(list(items))
+            running.set()
+            assert release.wait(timeout=10)
+            return [object() for _ in items]
+
+        leader, results = _submit_in_threads(queue, "g", ["point"], execute)
+        assert running.wait(timeout=10)
+        follower, shared = _submit_in_threads(queue, "g", ["point"], execute)
+        _wait_until(lambda: _members(queue, "g", "point") == 2)
+        release.set()
+        _join(leader + follower)
+        assert executions == [["point"]]
+        assert shared[0] is results[0]
+        assert queue.stats()["coalesced"] == 1
+
+    def test_a_shed_leader_fails_every_follower_with_overloaded(self):
+        from repro.server.protocol import ERROR_OVERLOADED
+
+        state = ServerState(workers=1, deadline_s=1.0)
+        executions = []
+        assert state._slots.acquire(timeout=1)
+        try:
+            threads, outcomes = _submit_in_threads(
+                state.batcher, "g", [1, 2, 1], executions.append)
+            _wait_until(lambda: _members(state.batcher, "g", 1) == 3)
+            _join(threads)
+        finally:
+            state._slots.release()
+        assert executions == []
+        assert len(outcomes) == 3
+        errors = list(outcomes.values())
+        assert all(isinstance(error, ProtocolError) for error in errors)
+        assert {error.code for error in errors} == {ERROR_OVERLOADED}
+        assert state.snapshot()["shed"] == 1
+        # The refused batch is closed: the next submit computes.
+        assert state.batcher.submit("g", 1, lambda items: items) == 1
+
+    def test_stress_every_submit_gets_its_own_result(self):
+        import sys
+
+        state = ServerState(workers=2)
+        executed = []
+
+        def execute(items):
+            executed.append(len(items))
+            return [item * 10 for item in items]
+
+        def client(seed):
+            for round_ in range(200):
+                item = (seed * 7 + round_) % 5
+                assert state.batcher.submit(round_ % 3, item, execute) \
+                    == item * 10
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(seed,))
+                       for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            _join(threads, timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        stats = state.batcher.stats()
+        assert stats["requests"] == 8 * 200
+        assert stats["batches"] == len(executed)
+        assert not state.batcher._open and not state.batcher._pending
+
     def test_different_groups_do_not_coalesce(self):
-        queue = BatchQueue(window_s=0)
+        queue = BatchQueue()
         queue.submit("a", 1, lambda items: items)
         queue.submit("b", 2, lambda items: items)
         assert queue.stats()["batches"] == 2
 
     def test_executor_failure_propagates_to_every_member(self):
-        queue = BatchQueue(window_s=0.05)
-        failures = []
-
-        def submit():
-            try:
-                queue.submit("g", 0, boom)
-            except RuntimeError as error:
-                failures.append(str(error))
+        queue = BatchQueue()
+        running, release = threading.Event(), threading.Event()
 
         def boom(items):
+            running.set()
+            assert release.wait(timeout=10)
             raise RuntimeError("sweep exploded")
 
-        threads = [threading.Thread(target=submit) for _ in range(3)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert failures == ["sweep exploded"] * 3
+        leader, failures = _submit_in_threads(queue, "g", [0], boom)
+        assert running.wait(timeout=10)
+        followers, more = _submit_in_threads(queue, "g", [0, 0], boom)
+        _wait_until(lambda: _members(queue, "g", 0) == 3)
+        release.set()
+        _join(leader + followers)
+        failures = list(failures.values()) + list(more.values())
+        assert [str(error) for error in failures] == ["sweep exploded"] * 3
 
     def test_wrong_result_count_is_an_error(self):
-        queue = BatchQueue(window_s=0)
+        queue = BatchQueue()
         with pytest.raises(RuntimeError, match="2 results for 1 items"):
             queue.submit("g", 0, lambda items: [1, 2])
-
-    def test_negative_window_is_rejected(self):
-        with pytest.raises(ValueError):
-            BatchQueue(window_s=-0.1)
 
 
 # --------------------------------------------------------------------------- #
 # Dispatch
 # --------------------------------------------------------------------------- #
+@pytest.fixture()
+def computed(monkeypatch):
+    """The swept operator of every sweep point computed, in order."""
+    from repro.core import study as study_module
+
+    names = []
+    execute_points = study_module._execute_points
+
+    def counting_execute_points(tasks):
+        names.extend(task[1].swept.name for task in tasks)
+        return execute_points(tasks)
+
+    monkeypatch.setattr(study_module, "_execute_points",
+                        counting_execute_points)
+    return names
+
+
+@pytest.fixture()
+def counting_store(monkeypatch):
+    """The record kinds of every ``ResultStore.load_key`` / ``save_key``
+    call, in order."""
+    calls = {"load": [], "save": []}
+    load_key, save_key = ResultStore.load_key, ResultStore.save_key
+
+    def counting_load_key(store, record):
+        calls["load"].append(record.kind)
+        return load_key(store, record)
+
+    def counting_save_key(store, record, payload):
+        calls["save"].append(record.kind)
+        return save_key(store, record, payload)
+
+    monkeypatch.setattr(ResultStore, "load_key", counting_load_key)
+    monkeypatch.setattr(ResultStore, "save_key", counting_save_key)
+    return calls
+
+
 class TestDispatch:
     @pytest.fixture()
     def state(self):
-        return ServerState(batch_window_s=0.0)
+        return ServerState()
 
     def test_unknown_action_envelope(self, state):
         envelope = dispatch(state, "frobnicate", {})
@@ -281,8 +460,7 @@ class TestDispatch:
         assert result["hardware_cache"]["reports"] >= 1
 
     def test_store_backed_state_reports_and_hits(self, tmp_path):
-        state = ServerState(store=str(tmp_path / "store"),
-                            batch_window_s=0.0)
+        state = ServerState(store=str(tmp_path / "store"))
         cold = dispatch(state, "evaluate", dict(WORKLOAD, adder="ADD(16)"))
         assert cold["result"]["cached"] is False
         warm = dispatch(state, "evaluate", dict(WORKLOAD, adder="ADD(16)"))
@@ -293,25 +471,101 @@ class TestDispatch:
         assert status["store"]["hits"] > 0
 
     def test_warm_evaluate_reads_its_sweep_record_once(self, tmp_path,
-                                                       monkeypatch):
-        state = ServerState(store=str(tmp_path / "store"),
-                            batch_window_s=0.0)
+                                                       counting_store):
+        state = ServerState(store=str(tmp_path / "store"))
         params = dict(WORKLOAD, adder="ACA(16,8)")
         cold = dispatch(state, "evaluate", params)
         assert cold["result"]["cached"] is False
 
-        loads = []
-        load_key = ResultStore.load_key
-
-        def counting_load_key(store, record):
-            loads.append(record.kind)
-            return load_key(store, record)
-
-        monkeypatch.setattr(ResultStore, "load_key", counting_load_key)
+        counting_store["load"].clear()
         warm = dispatch(state, "evaluate", params)
         assert warm["result"]["cached"] is True
-        assert loads.count("sweep") == 1
+        assert counting_store["load"].count("sweep") == 1
         assert warm["result"]["row"] == cold["result"]["row"]
+
+    def test_cold_evaluate_reads_its_sweep_record_once(self, tmp_path,
+                                                       counting_store):
+        state = ServerState(store=str(tmp_path / "store"))
+        cold = dispatch(state, "evaluate", dict(WORKLOAD, adder="ACA(16,8)"))
+        assert cold["result"]["cached"] is False
+        assert counting_store["load"].count("sweep") == 1
+        assert counting_store["save"].count("sweep") == 1
+
+    def test_concurrent_cold_evaluates_of_one_point_compute_it_once(
+            self, tmp_path, counting_store):
+        state = ServerState(store=str(tmp_path / "store"), workers=1)
+        params = dict(WORKLOAD, adder="ACA(16,8)")
+        envelopes = []
+
+        def evaluate():
+            envelopes.append(dispatch(state, "evaluate", params))
+
+        assert state._slots.acquire(timeout=1)  # both probe, then queue
+        try:
+            threads = [threading.Thread(target=evaluate) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            _wait_until(lambda: state.batcher._pending and all(
+                batch.members == 2
+                for batch, _ in state.batcher._pending.values()))
+        finally:
+            state._slots.release()
+        _join(threads)
+        assert [envelope["status"] for envelope in envelopes] == ["ok"] * 2
+        assert [envelope["result"]["cached"] for envelope in envelopes] \
+            == [False, False]
+        assert envelopes[0]["result"]["row"] == envelopes[1]["result"]["row"]
+        assert counting_store["save"].count("sweep") == 1
+        assert counting_store["load"].count("sweep") == 2  # one per probe
+
+    def test_a_point_recorded_since_its_probe_is_read_not_recomputed(
+            self, tmp_path, computed):
+        from repro.server.dispatch import (_ColdPoint, _evaluate_study,
+                                           _run_cold)
+
+        state = ServerState(store=str(tmp_path / "store"))
+        params = dict(WORKLOAD, operator="ACA(16,8)", axis="adder")
+        # A request's probe misses just before another batch records the
+        # point and leaves the queue; its own batch then opens.
+        (key, payload), = _evaluate_study(state, params,
+                                          ["ACA(16,8)"]).probe()
+        assert payload is None
+        cold = dispatch(state, "evaluate", params)
+        assert computed == ["ACA(16,8)"]
+        rows = _run_cold(state, params, [_ColdPoint("ACA(16,8)", key)])
+        assert computed == ["ACA(16,8)"]
+        assert wire(rows[0]) == cold["result"]["row"]
+
+    def test_a_mixed_stream_computes_each_point_once(self, tmp_path,
+                                                     computed):
+        import random
+
+        state = ServerState(store=str(tmp_path / "store"))
+        points = [(adder, seed) for seed in (1, 2)
+                  for adder in ("ADD(16)", "ADDt(16,12)", "ACA(16,8)",
+                                "ETAII(16,4)")]
+        rng = random.Random(0)
+        streams = [[rng.choice(points) for _ in range(40)] for _ in range(2)]
+        replies = []
+
+        def client(stream):
+            for adder, seed in stream:
+                replies.append(((adder, seed), dispatch(
+                    state, "evaluate",
+                    dict(WORKLOAD, adder=adder, seed=seed, energy=False))))
+
+        threads = [threading.Thread(target=client, args=(stream,))
+                   for stream in streams]
+        for thread in threads:
+            thread.start()
+        _join(threads)
+        asked = {point for stream in streams for point in stream}
+        assert len(computed) == len(asked)
+        rows = {}
+        for point, envelope in replies:
+            assert envelope["status"] == "ok", envelope
+            assert rows.setdefault(point, envelope["result"]["row"]) \
+                == envelope["result"]["row"]
 
     def test_worker_count_is_validated(self):
         with pytest.raises(ValueError):
@@ -323,7 +577,7 @@ class TestDispatch:
 # --------------------------------------------------------------------------- #
 class TestEvalServer:
     def test_http_round_trip_and_error_statuses(self):
-        with EvalServer(batch_window_s=0.0) as server:
+        with EvalServer() as server:
             envelope = query(server.url, "status")
             assert envelope["status"] == "ok"
 
@@ -359,7 +613,7 @@ class TestEvalServer:
     def test_http_0_9_get_status_gets_the_bare_body(self):
         import socket
 
-        with EvalServer(batch_window_s=0.0) as server:
+        with EvalServer() as server:
             with socket.create_connection((server.host, server.port),
                                           timeout=10) as raw:
                 raw.sendall(b"GET /status\r\n\r\n")  # no version, no headers
@@ -384,7 +638,7 @@ class TestEvalServer:
                     for operator, row in zip(operators, direct.rows)}
 
         with EvalServer(store=str(tmp_path / "store"),
-                        batch_window_s=0.05, workers=2) as server:
+                        workers=2) as server:
             envelopes = {}
 
             def hit(operator):
@@ -408,8 +662,7 @@ class TestEvalServer:
             assert batching["requests"] == len(operators)
 
     def test_second_identical_query_is_a_warm_store_hit(self, tmp_path):
-        with EvalServer(store=str(tmp_path / "store"),
-                        batch_window_s=0.0) as server:
+        with EvalServer(store=str(tmp_path / "store")) as server:
             params = dict(WORKLOAD, adder="ADD(16)")
             cold = query(server.url, "evaluate", params)
             assert cold["result"]["cached"] is False
@@ -451,7 +704,7 @@ def connects(monkeypatch):
 
 class TestPersistentConnections:
     def test_one_thread_streams_over_one_connection(self, connects):
-        with EvalServer(batch_window_s=0.0) as server:
+        with EvalServer() as server:
             for _ in range(50):
                 assert query(server.url, "status")["status"] == "ok"
             assert len(connects) == 1
@@ -459,7 +712,7 @@ class TestPersistentConnections:
                 == {"status": 51}
 
     def test_two_threads_use_two_connections(self, connects):
-        with EvalServer(batch_window_s=0.0) as server:
+        with EvalServer() as server:
             barrier = threading.Barrier(2)
             answers = []
 
@@ -490,19 +743,19 @@ class TestPersistentConnections:
 
         monkeypatch.setattr(socketserver._SocketWriter, "write",
                             counting_write)
-        with EvalServer(batch_window_s=0.0) as server:
+        with EvalServer() as server:
             for action in ("status", "experiments", "frobnicate"):
                 query(server.url, action)
         assert len(writes) == 3
 
     def test_cached_connection_redials_a_restarted_server(self, connects):
-        first = EvalServer(batch_window_s=0.0).start()
+        first = EvalServer().start()
         port = first.port
         try:
             assert query(first.url, "status")["status"] == "ok"
         finally:
             first.stop()
-        with EvalServer(port=port, batch_window_s=0.0) as second:
+        with EvalServer(port=port) as second:
             # The kept connection was hung up by stop(); the one re-dial
             # is not a retry, so retries=0 still gets the answer.
             envelope = query(second.url, "status", retries=0)
@@ -519,7 +772,7 @@ class TestPersistentConnections:
             return FaultPlan(seed=0, rules=(FaultRule(
                 point="server.handler", kind="drop", nth=nth),))
 
-        with EvalServer(batch_window_s=0.0) as server:
+        with EvalServer() as server:
             try:
                 # The kept connection and its re-dial are both dropped:
                 # the failure is the retry loop's, which retries=0 ends...
@@ -550,12 +803,12 @@ class TestPersistentConnections:
         script = "\n".join([
             "import threading",
             "from repro.server import EvalServer, query",
-            "server = EvalServer(batch_window_s=0.0).start()",
+            "server = EvalServer().start()",
             "query(server.url, 'status')",
             "worker = threading.Thread(",
             "    target=lambda: query(server.url, 'status'))",
             "worker.start(); worker.join()",
-            "other = EvalServer(batch_window_s=0.0).start()",
+            "other = EvalServer().start()",
             "query(other.url, 'status')",
             "other.stop(); server.stop()",
         ])
@@ -579,7 +832,7 @@ class TestPersistentConnections:
         sleeps = []
         monkeypatch.setattr(client, "time", SimpleNamespace(
             monotonic=time_module.monotonic, sleep=sleeps.append))
-        with EvalServer(batch_window_s=0.0, workers=1,
+        with EvalServer(workers=1,
                         deadline_s=0.05) as server:
             assert query(server.url, "status")["status"] == "ok"
             assert server.state._slots.acquire(timeout=1)
@@ -625,7 +878,7 @@ class TestLoadSheddingAndDrain:
     def test_http_503_retry_after_and_client_fallback(self, tmp_path):
         from repro.server.protocol import ERROR_OVERLOADED
 
-        with EvalServer(batch_window_s=0.0, workers=1,
+        with EvalServer(workers=1,
                         deadline_s=0.05) as server:
             assert server.state._slots.acquire(timeout=1)
             try:
@@ -665,7 +918,7 @@ class TestLoadSheddingAndDrain:
     def test_drain_finishes_in_flight_and_refuses_new(self):
         from repro.server import ServerUnavailable
 
-        server = EvalServer(batch_window_s=0.0).start()
+        server = EvalServer().start()
         url = server.url
         assert query(url, "status")["status"] == "ok"
         remaining = server.drain(grace_s=5.0)
@@ -678,7 +931,7 @@ class TestLoadSheddingAndDrain:
         import time as time_module
 
         done = {}
-        state = ServerState(batch_window_s=0.0)
+        state = ServerState()
         server = EvalServer(state=state).start()
 
         def slow_query():
@@ -704,7 +957,7 @@ class TestLoadSheddingAndDrain:
     def test_a_hung_up_idle_connection_cannot_start_a_request(self):
         import socket
 
-        server = EvalServer(batch_window_s=0.0)  # never started
+        server = EvalServer()  # never started
         httpd = server._httpd
         ours, theirs = socket.socketpair()
         try:
@@ -732,7 +985,7 @@ class TestLoadSheddingAndDrain:
                 assert time_module.monotonic() < deadline
                 time_module.sleep(0.005)
 
-        server = EvalServer(batch_window_s=0.0).start()
+        server = EvalServer().start()
         idle = http.client.HTTPConnection(server.host, server.port,
                                           timeout=10)
         done = {}
