@@ -1,5 +1,5 @@
 """Tests for the error, signal, image, acceptance and clustering metrics."""
-from unittest import mock
+import itertools
 
 import numpy as np
 import pytest
@@ -266,34 +266,64 @@ class TestClustering:
         with pytest.raises(ValueError, match="non-negative"):
             match_labels(np.array([0, 1, 1]), np.array([0, -1, 1]))
 
-    @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=10_000),
-           keep=st.integers(min_value=0, max_value=6))
-    def test_match_labels_equals_dict_remap_on_greedy_path(self, seed, keep):
-        """The lookup-array remap against the per-label dict it replaced.
+    @pytest.mark.parametrize(("reference", "labels", "clusters", "match"), [
+        ([0, 1, 2], [0, 1, 1], 2, "label 2 out of range for 2 clusters"),
+        ([0, 1], [0, 3], 3, "label 3 out of range"),
+        ([0, 0], [0, 0], 0, "clusters must be at least 1"),
+        ([], [], 0, "clusters must be at least 1"),
+        ([0.7, 1.2], [0, 1], None, "integer cluster indices"),
+        ([0, 1], np.array([0.0, 1.0]), None, "integer cluster indices"),
+    ], ids=["reference-label-past-clusters", "candidate-label-past-clusters",
+            "zero-clusters", "zero-clusters-empty", "float-reference",
+            "float-candidate"])
+    def test_invalid_labels_rejected(self, reference, labels, clusters, match):
+        # Labels past ``clusters`` and ``clusters < 1`` used to escape as a
+        # bare IndexError; float labels were truncated and scored 1.0.
+        with pytest.raises(ValueError, match=match):
+            clustering.confusion_matrix(reference, labels, clusters)
+        if len(reference):
+            with pytest.raises(ValueError, match=match):
+                success_rate(reference, labels, clusters)
 
-        Greedy matching on random labels, truncated to ``keep`` pairs so
-        some candidate labels are left unmatched and keep their value.
+    def test_float_labels_rejected_when_already_matched(self):
+        with pytest.raises(ValueError, match="integer cluster indices"):
+            success_rate([0.7, 1.2], [0, 1], already_matched=True)
+
+    @pytest.mark.parametrize("size", range(1, 7))
+    def test_assignment_is_a_maximum_permutation(self, size):
+        """Exhaustive oracle: no permutation has a larger total."""
+        rng = np.random.default_rng(size)
+        matrices = [np.zeros((size, size), dtype=np.int64),
+                    np.ones((size, size), dtype=np.int64)]
+        matrices += [rng.integers(0, 2, (size, size)) for _ in range(40)]
+        matrices += [rng.integers(0, high, (size, size))
+                     for high in (3, 10, 1000) for _ in range(20)]
+        columns = range(size)
+        for matrix in matrices:
+            rows = clustering._max_weight_assignment(matrix)
+            assert sorted(rows) == list(columns)
+            best = max(matrix[list(permutation), columns].sum()
+                       for permutation in itertools.permutations(columns))
+            assert matrix[rows, columns].sum() == best
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_match_labels_equals_dict_remap(self, seed):
+        """The lookup-array remap against a per-label dict of the matching.
+
+        Candidates use a subset of the labels, so some columns are empty
+        and their labels are matched to arbitrary free reference labels.
         """
         rng = np.random.default_rng(seed)
         clusters = 6
         reference = rng.integers(0, clusters, 300)
-        # Candidates use a subset of the labels, so some columns are empty.
         candidate = rng.integers(0, clusters - 2, 300)
-        greedy = clustering._greedy_assignment
-
-        def truncated(matrix):
-            rows, cols = greedy(matrix)
-            return rows[:keep], cols[:keep]
-
-        rows, cols = truncated(
+        rows = clustering._max_weight_assignment(
             clustering.confusion_matrix(reference, candidate, clusters))
-        mapping = {int(col): int(row) for row, col in zip(rows, cols)}
-        expected = np.array([mapping.get(int(label), int(label))
-                             for label in candidate], dtype=np.int64)
-        with mock.patch.object(clustering, "_hungarian", None), \
-                mock.patch.object(clustering, "_greedy_assignment", truncated):
-            remapped = match_labels(reference, candidate, clusters)
+        mapping = dict(enumerate(rows))
+        expected = np.array([mapping[int(label)] for label in candidate],
+                            dtype=np.int64)
+        remapped = match_labels(reference, candidate, clusters)
         assert remapped.dtype == np.int64
         assert np.array_equal(remapped, expected)
 
