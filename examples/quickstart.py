@@ -8,8 +8,9 @@ Run with::
 Part 1 characterises a few operators the way APXPERF does (error metrics
 next to hardware metrics).  Part 2 shows the fluent ``Study`` pipeline — the
 single entry point for every experiment: pick a workload, sweep operators,
-attach the datapath energy model of Equation 1, and run (optionally across a
-process pool with ``run(workers=N)``).
+attach the datapath energy model of Equation 1, and run (``run(workers=N)``
+cuts the sweep into N contiguous chunks on a process pool; the rows are
+identical to ``workers=1``).
 """
 from repro import Study
 from repro.core import DatapathEnergyModel

@@ -95,8 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run only shard I of N (deterministic round-robin "
                           "partition of every experiment's design points)")
     run.add_argument("--workers", type=int, default=1, metavar="N",
-                     help="process-pool workers per sweep (capped at the "
-                          "CPU count; REPRO_WORKERS overrides)")
+                     help="process-pool workers, one pool for the whole run "
+                          "(capped at the CPU count)")
     run.add_argument("--backend", default="direct", metavar="SPEC",
                      help="execution backend of the application sweeps "
                           "(default: %(default)s)")
@@ -165,8 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--generations", type=int, default=None, metavar="N",
                         help="nsga2 generation count (default: driver's)")
     search.add_argument("--workers", type=int, default=1, metavar="N",
-                        help="process-pool workers per evaluation batch "
-                             "(capped at the CPU count)")
+                        help="process-pool workers, one pool for the whole "
+                             "search (capped at the CPU count)")
     search.add_argument("--backend", default="direct", metavar="SPEC",
                         help="execution backend of the candidate sweeps "
                              "(default: %(default)s)")
@@ -289,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="worker identity recorded in leases "
                                  "(default: host-pid-thread)")
     fleet_work.add_argument("--workers", type=int, default=1, metavar="N",
-                            help="process-pool workers per sweep inside "
-                                 "this fleet worker (default: %(default)s)")
+                            help="process-pool workers of this fleet worker, "
+                                 "one pool per task run (default: %(default)s)")
     fleet_work.add_argument("--max-tasks", type=int, default=None,
                             metavar="N",
                             help="stop after completing N tasks "

@@ -140,33 +140,8 @@ class Apxperf:
         )
 
     def characterize_many(self, operators: Iterable[Union[Operator, str]],
-                          verify: bool = False, workers: int = 1
+                          verify: bool = False
                           ) -> List[OperatorCharacterization]:
-        """Characterise a batch of operators (a full sweep).
-
-        ``workers > 1`` fans the independent per-operator characterisations
-        out over a process pool, mirroring :meth:`repro.core.Study.run`:
-        each characterisation seeds its own generator from the harness seed,
-        so parallel results are bit-identical to a serial run, and
-        restricted environments (no process spawning / semaphores) fall back
-        to the serial path transparently.
-        """
+        """Characterise a batch of operators (a full sweep), in order."""
         resolved = [self._resolve(op) for op in operators]
-        if workers <= 1 or len(resolved) <= 1:
-            return [self.characterize(op, verify=verify) for op in resolved]
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-
-        tasks = [(self, op, verify) for op in resolved]
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(resolved))) as pool:
-                return list(pool.map(_characterize_task, tasks))
-        except (OSError, BrokenExecutor):
-            return [self.characterize(op, verify=verify) for op in resolved]
-
-
-def _characterize_task(
-        task: "tuple[Apxperf, Operator, bool]") -> OperatorCharacterization:
-    """Run one characterisation in a worker process (must be module-level)."""
-    harness, operator, verify = task
-    return harness.characterize(operator, verify=verify)
+        return [self.characterize(op, verify=verify) for op in resolved]

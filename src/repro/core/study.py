@@ -26,20 +26,21 @@ Execution is deterministic: the stimulus seed fixes every workload input, the
 functional simulations of the sweep points are independent (and therefore
 parallelisable over a process pool), and energy accounting always happens in
 the parent process against the shared cache — so ``run(workers=4)`` yields
-results identical to ``run(workers=1)``.  The serial path hands every
-pending point to one :meth:`~repro.workloads.base.Workload.run_many` call
-(the FFT workload stacks them into one transform); a pool runs one point
-per task.  A pool that cannot start falls back to the serial path with a
-``RuntimeWarning``.  Every sweep point
-evaluates its operators through their closed forms on the ``"direct"``
-backend unless :meth:`Study.backend` selects a registered plug-in.
+results identical to ``run(workers=1)``.  Pending points run as one
+contiguous chunk per worker, each one
+:meth:`~repro.workloads.base.Workload.run_many` call: in process when
+serial, else on a run-wide :func:`process_pool`; a pool that cannot start
+or breaks runs its chunks in process with a ``RuntimeWarning``.  Every
+sweep point evaluates its operators through their closed forms on the
+``"direct"`` backend unless :meth:`Study.backend` selects a plug-in.
 """
 from __future__ import annotations
 
 import os
 import warnings
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +54,9 @@ from .designspace import DesignPoint, DesignSpace, adder_point, multiplier_point
 from .registry import parse_operator
 from .results import ExperimentResult, ParetoFront, ResultBundle
 from .store import ResultStore, StoreKey, StoreLike, canonical_key
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 
 @dataclass
@@ -124,7 +128,7 @@ def _execute_points(tasks: Sequence[SweepTask]) -> List[WorkloadResult]:
     """Run sweep points' functional simulations in one ``run_many`` call.
 
     Every task of a study shares its workload.  Process-pool safe: each
-    pool worker runs one point through here.
+    pool worker runs one chunk of a sweep through here.
     """
     workload = tasks[0][0]
     return workload.run_many([
@@ -132,32 +136,44 @@ def _execute_points(tasks: Sequence[SweepTask]) -> List[WorkloadResult]:
         for _, operators, config, seed in tasks])
 
 
-def _execute_point(task: SweepTask) -> WorkloadResult:
-    """Run one sweep point's functional simulation (process-pool safe)."""
-    return _execute_points([task])[0]
-
-
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Effective worker count for a sweep's process pool.
+    """Effective worker count: the request clamped to ``[1, os.cpu_count()]``.
 
-    A ``REPRO_WORKERS`` environment variable overrides the requested value
-    verbatim (the operator knows the machine better than the caller); an
-    unparsable override is ignored with a warning.  Requested values are
-    otherwise capped at ``os.cpu_count()`` — oversubscribing a sweep of
-    CPU-bound functional simulations only adds scheduling churn — and
-    floored at one.
+    Oversubscribing a sweep of CPU-bound functional simulations only adds
+    scheduling churn.
     """
-    env = os.environ.get("REPRO_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            warnings.warn(
-                f"ignoring unparsable REPRO_WORKERS={env!r} (not an integer)",
-                RuntimeWarning, stacklevel=2)
     if workers is None:
         return 1
     return max(1, min(int(workers), os.cpu_count() or 1))
+
+
+@contextmanager
+def process_pool(workers: int, pool: Optional[Executor] = None):
+    """Yield ``pool`` or a pool of ``workers`` processes, shut at the end.
+
+    A run opens one and hands it to every sweep (``Study.run(pool=...)``).
+    It yields ``None`` for one worker, or with a warning where no pool can
+    start (no process spawning or semaphores): sweeps then run in process.
+    """
+    if pool is not None or workers <= 1:
+        yield pool
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    try:
+        owned = ProcessPoolExecutor(max_workers=workers)
+    except OSError as error:
+        _warn_serial(error)
+        owned = None
+    with owned or nullcontext():
+        yield owned
+
+
+def _warn_serial(error: BaseException) -> None:
+    warnings.warn(
+        f"process pool unavailable ({error.__class__.__name__}: {error}); "
+        f"falling back to serial execution — results are identical, only "
+        f"slower", RuntimeWarning)
 
 
 #: A shard specification: ``None`` (whole sweep), an ``"i/n"`` string, or an
@@ -382,24 +398,26 @@ class Study:
     # Execution
     # ------------------------------------------------------------------ #
     def run(self, workers: int = 1,
-            probed: Optional[Sequence[Probe]] = None) -> ExperimentResult:
+            probed: Optional[Sequence[Probe]] = None,
+            pool: Optional[Executor] = None) -> ExperimentResult:
         """Execute the sweep and emit the experiment result.
 
-        ``workers > 1`` fans the functional simulations out over a process
-        pool; energy charging, Pareto-front maintenance and row emission
-        stay in the parent — rows are processed as workers complete (which
-        is how the incremental front fills in) but always emitted in sweep
-        order, so the result is bit-identical to a serial run.  With a
-        configured :meth:`store`, recorded sweep points skip their
-        simulation entirely and fresh ones are persisted.
+        ``workers > 1`` runs the pending points as that many contiguous
+        chunks, one ``run_many`` call each, on ``pool`` (a run's shared
+        :func:`process_pool`) or on a pool opened for this call only.
+        Energy charging, Pareto-front maintenance and row emission stay in
+        the parent — rows are processed as chunks complete (which is how
+        the incremental front fills in) but always emitted in sweep order,
+        so the result is bit-identical to a serial run.  With a configured
+        :meth:`store`, recorded sweep points skip their simulation
+        entirely and fresh ones are persisted.
 
         ``probed`` is this study's :meth:`probe`, taken against the
         configured store: the run uses its keys and payloads instead of
         canonicalising and reading each record again.
 
-        The requested ``workers`` is resolved through
-        :func:`resolve_workers`: capped at the machine's CPU count and
-        overridable via the ``REPRO_WORKERS`` environment variable.
+        The requested ``workers`` is clamped to ``[1, os.cpu_count()]``
+        (:func:`resolve_workers`).
         """
         workers = resolve_workers(workers)
         if self._workload is None:
@@ -418,7 +436,7 @@ class Study:
             self._energy_model.store = self._store
         try:
             return self._run_resolved(workload, config, seed, workers,
-                                      probed)
+                                      probed, pool)
         finally:
             if store_offered:
                 self._energy_model.store = None
@@ -506,8 +524,8 @@ class Study:
 
     def _run_resolved(self, workload: Workload, config: Dict[str, object],
                       seed: int, workers: int,
-                      probed: Optional[Sequence[Probe]] = None
-                      ) -> ExperimentResult:
+                      probed: Optional[Sequence[Probe]] = None,
+                      pool: Optional[Executor] = None) -> ExperimentResult:
         """Execute the configured sweep (see :meth:`run`)."""
         points = self._points
         selected, tasks = self._resolved_tasks(workload, config, seed)
@@ -528,7 +546,7 @@ class Study:
         build_row = self._row_builder or _default_row
         rows: Dict[int, Dict[str, object]] = {}
         store_hits = 0
-        for index, outcome, fresh in self._outcomes(tasks, workers, probed):
+        for index, outcome, fresh in self._outcomes(tasks, workers, probed, pool):
             point = points[index]
             if not fresh:
                 store_hits += 1
@@ -597,7 +615,8 @@ class Study:
         bundle.add(self.run(workers=workers))
         return bundle
 
-    def search(self, strategy, workers: int = 1):
+    def search(self, strategy, workers: int = 1,
+               pool: Optional[Executor] = None):
         """Explore a design space adaptively instead of sweeping it.
 
         ``strategy`` is a :class:`~repro.search.strategy.SearchStrategy`
@@ -611,14 +630,17 @@ class Study:
         Returns the strategy's
         :class:`~repro.search.strategy.SearchOutcome`.
 
+        ``workers > 1`` runs every candidate batch in chunks on ``pool``
+        or, without one, on one process pool opened for the whole search.
+
         The study is consumed as the search's evaluator: its operator list
         is rewritten per candidate batch, so do not reuse it for a sweep
         afterwards.
         """
         from ..search.evaluator import SearchEvaluator
 
-        evaluator = SearchEvaluator(self, workers=workers)
-        return strategy.search(evaluator)
+        with process_pool(resolve_workers(workers), pool) as pool:
+            return strategy.search(SearchEvaluator(self, workers, pool))
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -645,16 +667,17 @@ class Study:
     # Execution internals
     # ------------------------------------------------------------------ #
     def _outcomes(self, tasks: List[Tuple[int, SweepTask]], workers: int,
-                  probed: Optional[Sequence[Probe]]):
+                  probed: Optional[Sequence[Probe]],
+                  pool: Optional[Executor]):
         """Yield ``(index, WorkloadResult, fresh)`` in completion order.
 
         ``tasks`` pairs each sweep point with its global sweep index (the
         two differ in a sharded run).  ``probed`` — ``None`` without a
         store — holds each task's store key and recorded payload (see
         :meth:`probe`).  Store-recorded points short-circuit first
-        (``fresh=False``); the remainder runs serially or streams out of a
-        process pool as each future completes.  Fresh results are written
-        back to the store under their probed key.
+        (``fresh=False``); the remainder runs in chunks
+        (:meth:`_execute_stream`).  Fresh results are written back to the
+        store under their probed key.
         """
         pending: List[Tuple[int, SweepTask]] = []
         keys: Dict[int, StoreKey] = {}
@@ -668,7 +691,7 @@ class Study:
                 keys[index] = key
             pending.append((index, task))
 
-        for index, result in self._execute_stream(pending, workers):
+        for index, result in self._execute_stream(pending, workers, pool):
             if index in keys:
                 payload = _result_to_record(result)
                 if payload is not None:
@@ -706,48 +729,37 @@ class Study:
         }
 
     @staticmethod
-    def _execute_stream(pending: List[Tuple[int, SweepTask]], workers: int):
-        """Yield ``(index, WorkloadResult)`` as sweep points complete.
+    def _execute_stream(pending: List[Tuple[int, SweepTask]], workers: int,
+                        pool: Optional[Executor] = None):
+        """Yield ``(index, WorkloadResult)`` as chunks of sweep points complete.
 
-        The serial path hands every pending point to one
-        :meth:`Workload.run_many` call and yields the results in sweep
-        order.  ``workers > 1`` streams completions out of a process pool,
-        one point per future (in completion order, which is what feeds the
-        incremental Pareto front); restricted environments (no process
-        spawning / semaphores) fall back to the serial path, which is
-        result-identical.
+        ``pending`` is cut into ``min(workers, len(pending))`` contiguous,
+        near-equal chunks, each one :func:`_execute_points` call.  One
+        chunk runs in process; several run on ``pool`` (or a pool opened
+        for this call) and stream out in completion order, which feeds the
+        incremental Pareto front.  A pool that cannot start or breaks runs
+        its unfinished chunks in process.
         """
-        if workers <= 1 or len(pending) <= 1:
-            yield from Study._execute_serial(pending)
-            return
-        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+        count, size = min(workers, len(pending)), len(pending)
+        unfinished = {part: pending[part * size // count:(part + 1) * size // count]
+                      for part in range(count)}
+        with process_pool(count, pool) as pool:
+            if pool is not None and count > 1:
+                from concurrent.futures import BrokenExecutor, as_completed
 
-        done: set = set()
-        try:
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(pending))) as pool:
-                futures = {pool.submit(_execute_point, task): index
-                           for index, task in pending}
-                for future in as_completed(futures):
-                    index = futures[future]
-                    result = future.result()
-                    done.add(index)
-                    yield index, result
-            return
-        except (OSError, BrokenExecutor) as error:
-            warnings.warn(
-                f"process pool unavailable ({error.__class__.__name__}: "
-                f"{error}); falling back to serial execution — results "
-                f"are identical, only slower", RuntimeWarning)
-        yield from Study._execute_serial(
-            [(index, task) for index, task in pending if index not in done])
-
-    @staticmethod
-    def _execute_serial(pending: List[Tuple[int, SweepTask]]):
-        """Yield ``(index, WorkloadResult)`` from one batched execution."""
-        if pending:
-            results = _execute_points([task for _, task in pending])
-            yield from zip([index for index, _ in pending], results)
+                try:
+                    futures = {pool.submit(_execute_points,
+                                           [task for _, task in chunk]): part
+                               for part, chunk in unfinished.items()}
+                    for future in as_completed(futures):
+                        results = future.result()
+                        chunk = unfinished.pop(futures[future])
+                        yield from zip([index for index, _ in chunk], results)
+                except (OSError, BrokenExecutor) as error:
+                    _warn_serial(error)
+        for chunk in unfinished.values():
+            yield from zip([index for index, _ in chunk],
+                           _execute_points([task for _, task in chunk]))
 
 
 def _default_row(outcome: SweepOutcome) -> Dict[str, object]:

@@ -32,13 +32,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.backends import BackendLike, backend_spec
 from ..core.datapath import DatapathEnergyModel
 from ..core.results import ExperimentResult, ResultBundle
 from ..core.store import ResultStore, StoreLike
-from ..core.study import ShardLike, Study, parse_shard, resolve_workers
+from ..core.study import ShardLike, Study, parse_shard, process_pool, resolve_workers
 from .ablations import multiplier_compensation_ablation, rounding_mode_ablation
 from .adders_study import adder_error_cost_study
 from .fft_study import fft_adder_sweep, fft_joint_frontier, fft_multiplier_comparison
@@ -47,6 +47,9 @@ from .jpeg_study import jpeg_adder_sweep, jpeg_joint_frontier
 from .kmeans_study import kmeans_adder_table, kmeans_multiplier_table
 from .multipliers_study import multiplier_comparison
 from .search_study import fft_heterogeneous_search
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 
 @dataclass
@@ -64,6 +67,8 @@ class RunConfig:
     store: Optional[ResultStore] = None
     shard: Optional[Tuple[int, int]] = None
     energy_model: DatapathEnergyModel = field(default_factory=DatapathEnergyModel)
+    #: The run's one process pool, shared by every sweep (``None``: serial).
+    pool: Optional[Executor] = None
 
     @property
     def error_samples(self) -> int:
@@ -110,8 +115,8 @@ def _sweep(study: Callable[[RunConfig], Study]
     """The ``build`` of a sweep experiment: its study under the run config.
 
     ``study`` maps the run's sweep densities to the experiment function's
-    domain arguments; the backend, energy model, store, shard and workers
-    are applied here, once, for every sweep in the registry.
+    domain arguments; the backend, energy model, store, shard, workers and
+    pool are applied here, once, for every sweep in the registry.
     """
     def build(cfg: RunConfig) -> ExperimentResult:
         return (study(cfg)
@@ -119,7 +124,7 @@ def _sweep(study: Callable[[RunConfig], Study]
                 .energy(cfg.energy_model)
                 .store(cfg.store)
                 .shard(cfg.shard)
-                .run(workers=cfg.workers))
+                .run(workers=cfg.workers, pool=cfg.pool))
     return build
 
 
@@ -127,7 +132,8 @@ def _search(cfg: RunConfig) -> ExperimentResult:
     # The search drives Study.search, not Study.run, so it takes the run
     # configuration as arguments of its own.
     return fft_heterogeneous_search(reduced=cfg.reduced, workers=cfg.workers,
-                                    backend=cfg.backend, store=cfg.store)
+                                    backend=cfg.backend, store=cfg.store,
+                                    pool=cfg.pool)
 
 
 EXPERIMENTS: Dict[str, ExperimentSpec] = {spec.name: spec for spec in (
@@ -284,11 +290,12 @@ def run_all(output_dir: Optional[Union[str, Path]] = None, reduced: bool = True,
     the full sweeps, which takes substantially longer but follows the paper's
     configuration as closely as the substituted substrate allows.
 
-    ``workers`` fans each sweep's functional simulations out over a process
-    pool (capped at the CPU count, ``REPRO_WORKERS`` overrides); results are
-    identical to the serial run.  ``backend`` selects the execution backend
-    of every application-level sweep (``"direct"`` by default, or a
-    registered plug-in); records are bit-identical across backends.  ``store`` (a
+    ``workers`` (capped at the CPU count) sizes one process pool that every
+    sweep of the run shares, each sending it one contiguous chunk of points
+    per worker; results are identical to the serial run.  ``backend``
+    selects the execution backend of every application-level sweep
+    (``"direct"`` by default, or a registered plug-in); records are
+    bit-identical across backends.  ``store`` (a
     :class:`~repro.core.store.ResultStore` or directory path) checkpoints
     every completed sweep point, so a killed run resumes where it stopped.
 
@@ -304,20 +311,23 @@ def run_all(output_dir: Optional[Union[str, Path]] = None, reduced: bool = True,
     """
     shard_pair = parse_shard(shard)
     store = ResultStore.of(store)
-    config = RunConfig(reduced=reduced, workers=resolve_workers(workers),
-                       backend=backend, store=store, shard=shard_pair,
-                       energy_model=DatapathEnergyModel(store=store))
+    workers = resolve_workers(workers)
     bundle = RunAllResult(shard=shard_pair, backend=backend_spec(backend),
                           reduced=reduced)
-    for spec in select_experiments(experiments, include_ablations):
-        if shard_pair is not None and not spec.shardable:
-            # Adaptive experiments have no index partition; shard 0 runs
-            # them whole (unsharded config) and the other shards skip them.
-            if shard_pair[0] != 0:
+    with process_pool(workers) as pool:
+        config = RunConfig(reduced=reduced, workers=workers, backend=backend,
+                           store=store, shard=shard_pair,
+                           energy_model=DatapathEnergyModel(store=store),
+                           pool=pool)
+        for spec in select_experiments(experiments, include_ablations):
+            if shard_pair is not None and not spec.shardable:
+                # Adaptive experiments have no index partition; shard 0
+                # runs them whole (unsharded config), the others skip them.
+                if shard_pair[0] != 0:
+                    continue
+                bundle.add(spec.build(replace(config, shard=None)))
                 continue
-            bundle.add(spec.build(replace(config, shard=None)))
-            continue
-        bundle.add(spec.build(config))
+            bundle.add(spec.build(config))
     if output_dir is not None:
         bundle.save_all(output_dir)
         bundle.save_manifest(output_dir)

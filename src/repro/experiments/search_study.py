@@ -38,7 +38,8 @@ def fft_heterogeneous_search(reduced: bool = True,
                              generations: Optional[int] = None,
                              workers: int = 1,
                              backend: BackendLike = "direct",
-                             store: StoreLike = None) -> ExperimentResult:
+                             store: StoreLike = None,
+                             pool=None) -> ExperimentResult:
     """Search the per-stage FFT space and report the discovered frontier.
 
     Every candidate the driver proposes is one heterogeneous datapath —
@@ -55,7 +56,7 @@ def fft_heterogeneous_search(reduced: bool = True,
     strategy = target.strategy("nsga2", seed=seed,
                                population=population,
                                generations=generations)
-    outcome = study.search(strategy, workers=workers)
+    outcome = study.search(strategy, workers=workers, pool=pool)
 
     result = ExperimentResult(
         experiment="fft_heterogeneous_search",

@@ -76,7 +76,7 @@ class SearchEvaluator:
     vectors.
     """
 
-    def __init__(self, study: Study, workers: int = 1) -> None:
+    def __init__(self, study: Study, workers: int = 1, pool=None) -> None:
         if study._workload is None:
             raise ValueError("no workload selected; call .workload(...) first")
         if study._pareto_axes is None:
@@ -87,6 +87,7 @@ class SearchEvaluator:
             raise ValueError("search cannot run on a sharded study")
         self._study = study
         self._workers = max(1, int(workers))
+        self._pool = pool
         if study._row_builder is None:
             study.rows(search_row)
         quality, cost, maximize_quality, minimize_cost = study._pareto_axes
@@ -150,7 +151,7 @@ class SearchEvaluator:
             return []
         result = (self._study
                   .design_space(unique)
-                  .run(workers=self._workers))
+                  .run(workers=self._workers, pool=self._pool))
         hits = int(result.metadata.get("store_hits", 0))
         self.evaluations += len(unique)
         self.store_hits += hits

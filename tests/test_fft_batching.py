@@ -7,6 +7,7 @@ one-frame, one-candidate evaluation (``tests/oracles.py``) bit for bit:
 codes, PSNR, operation counts and details.
 """
 import json
+import os
 
 import numpy as np
 import pytest
@@ -15,7 +16,10 @@ from oracles import seed_fft_forward, seed_fft_workload_run
 from repro.apps.fft import FixedPointFFT, random_q15_signal
 from repro.core import ApproxContext
 from repro.core.backends import DirectBackend
+from repro.core.designspace import adder_point
 from repro.core.registry import parse_operator
+from repro.core.study import Study
+from repro.experiments import run_all
 from repro.experiments.fft_study import fft_adder_sweep
 from repro.experiments.search_study import fft_heterogeneous_search
 from repro.workloads import FftWorkload, OperatorMap
@@ -253,21 +257,61 @@ class TestRunManyMatchesOracle(object):
 
 
 # --------------------------------------------------------------------- #
-# Serial (batched) versus process-pool (one point per future) studies
+# One in-process chunk versus contiguous chunks on a process pool
 # --------------------------------------------------------------------- #
 def fronts_of(result):
     return {key: front.to_dict() for key, front in result.fronts.items()}
 
 
+def registry_run(name):
+    """``build`` of a registry experiment at reduced density, on the
+    run-wide pool that ``run_all`` shares between its sweeps."""
+    return lambda workers: run_all(reduced=True, workers=workers,
+                                   experiments=[name]).results[name]
+
+
+def split_groups(workload, adders, group, config):
+    """``build`` of a 6-point sweep: the first 4 points share one stimulus,
+    the last 2 run under ``config``.  Three workers cut it into chunks of
+    2, so the chunk boundary at index 2 splits the first group."""
+    def build(workers):
+        points = [adder_point(parse_operator(name),
+                              config=config if index >= 4 else None)
+                  for index, name in enumerate(adders)]
+        return Study().workload(workload, **group).design_space(points) \
+            .run(workers=workers)
+    return build
+
+
 @pytest.mark.parametrize("build", [
     lambda workers: fft_heterogeneous_search(reduced=True, workers=workers),
     lambda workers: fft_adder_sweep(reduced=True, frames=4).run(workers=workers),
-], ids=["fft_heterogeneous_search", "fig5_fft_adders"])
+    registry_run("table5_kmeans_adders"),
+    registry_run("fig6_jpeg"),
+    split_groups("fft", ["ADDt(16,10)", "ACA(16,8)", "ETAIV(16,4)",
+                         "ADDt(16,12)", "ACA(16,10)", "ADDt(16,8)"],
+                 {"size": 32, "frames": 2}, {"frames": 3}),
+    split_groups("kmeans", ["ADDt(16,11)", "ACA(16,8)", "ETAIV(16,4)",
+                            "ADDt(16,9)", "ACA(16,10)", "ADDt(16,13)"],
+                 {"runs": 2, "points_per_run": 240, "iterations": 3},
+                 {"points_per_run": 200}),
+], ids=["fft_heterogeneous_search", "fig5_fft_adders", "table5_kmeans_adders",
+        "fig6_jpeg", "fft_split_stimulus", "kmeans_split_clouds"])
 def test_serial_batch_matches_process_pool(build, monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    """Rows, fronts and every point's metrics, counts and details agree."""
+    outcomes = Study._outcomes
+    seen = []
+
+    def recording(self, *args):
+        for index, result, fresh in outcomes(self, *args):
+            seen.append((index, as_bytes(result)))
+            yield index, result, fresh
+
+    monkeypatch.setattr(Study, "_outcomes", recording)
     serial = build(1)
-    # The override lifts the CPU-count cap, so the pool runs on any host.
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    pooled = build(2)
+    serial_outcomes, seen[:] = sorted(seen), []
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)  # a pool on any host
+    pooled = build(3)
     assert serial.rows == pooled.rows
     assert fronts_of(serial) == fronts_of(pooled)
+    assert serial_outcomes == sorted(seen)

@@ -20,6 +20,7 @@ from repro.core.designspace import joint_adder_space
 from repro.core.results import ExperimentResult, ResultBundle
 from repro.core.study import Study, parse_shard, resolve_workers
 from repro.experiments import merge_run, run_all
+from repro.search import get_target
 
 # Two cheap experiments exercising both a plain table (no fronts) and the
 # headline frontier (incremental Pareto front, design-space metadata).
@@ -66,28 +67,30 @@ def test_run_config_reaches_every_sweep(monkeypatch, tmp_path):
 
     ran = []
 
-    def record(study, workers=1):
-        ran.append((study, workers))
+    def record(study, workers=1, probed=None, pool=None):
+        ran.append((study, workers, pool))
         return ExperimentResult(experiment="recorded", description="",
                                 columns=[])
 
     monkeypatch.setattr(Study, "run", record)
     cfg = RunConfig(reduced=True, workers=3, backend=DirectBackend(),
                     store=ResultStore(tmp_path / "store"), shard=(1, 3),
-                    energy_model=DatapathEnergyModel(hardware_samples=200))
+                    energy_model=DatapathEnergyModel(hardware_samples=200),
+                    pool=object())  # stands in for the run's process pool
     for name, spec in EXPERIMENTS.items():
         if name == "fft_heterogeneous_search":
             continue  # drives Study.search with its own arguments
         ran.clear()
         spec.build(cfg)
         assert len(ran) == 1, name
-        study, workers = ran[0]
+        study, workers, pool = ran[0]
         assert study._experiment == name
         assert study._backend is cfg.backend, name
         assert study._store is cfg.store, name
         assert study._shard == cfg.shard, name
         assert study._energy_model is cfg.energy_model, name
         assert workers == cfg.workers, name
+        assert pool is cfg.pool, name
 
 
 # --------------------------------------------------------------------------- #
@@ -235,8 +238,7 @@ def test_store_absorb_is_idempotent_and_additive(tmp_path):
 # --------------------------------------------------------------------------- #
 # Worker resolution (the run_all(workers=) hardening)
 # --------------------------------------------------------------------------- #
-def test_resolve_workers_caps_at_cpu_count(monkeypatch):
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+def test_resolve_workers_caps_at_cpu_count():
     cpus = os.cpu_count() or 1
     assert resolve_workers(10_000) == cpus
     assert resolve_workers(1) == 1
@@ -244,21 +246,57 @@ def test_resolve_workers_caps_at_cpu_count(monkeypatch):
     assert resolve_workers(None) == 1
 
 
-def test_resolve_workers_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "3")
-    assert resolve_workers(1) == 3
-    monkeypatch.setenv("REPRO_WORKERS", "0")
-    assert resolve_workers(8) == 1
-    monkeypatch.setenv("REPRO_WORKERS", "not-a-number")
-    with pytest.warns(RuntimeWarning):
-        assert resolve_workers(1) == 1
+@pytest.fixture
+def opened_pools(monkeypatch):
+    """Every ``ProcessPoolExecutor`` constructed, on a 2-CPU host."""
+    import concurrent.futures
+
+    opened = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return opened
+
+
+class TestOnePoolPerRun(object):
+    """A run or a search opens one process pool for all of its sweeps."""
+
+    EXPERIMENTS = ["table1_multipliers", "fig5_fft_adders",
+                   "table3_hevc_adders", "fft_heterogeneous_search"]
+
+    def test_run_all_opens_one_pool(self, opened_pools):
+        pooled = run_all(reduced=True, workers=2, experiments=self.EXPERIMENTS)
+        assert opened_pools == [{"max_workers": 2}]
+        serial = run_all(reduced=True, workers=1, experiments=self.EXPERIMENTS)
+        assert len(opened_pools) == 1  # one worker opens none
+        for name in self.EXPERIMENTS:
+            assert pooled.results[name].rows == serial.results[name].rows
+
+    def test_search_opens_one_pool(self, opened_pools):
+        def search(workers):
+            target = get_target("fft_joint")
+            return target.study(reduced=True).search(
+                target.strategy("halving", seed=7), workers=workers)
+
+        pooled = search(2)
+        assert len(pooled.rounds) > 1  # several batches, one pool
+        assert opened_pools == [{"max_workers": 2}]
+        serial = search(1)
+        assert len(opened_pools) == 1
+        assert pooled.to_dict() == serial.to_dict()
 
 
 # --------------------------------------------------------------------------- #
 # Serial-fallback warning discipline
 # --------------------------------------------------------------------------- #
 class TestSerialFallbackWarning(object):
-    """Pool failure warns, whether or not the request was auto-capped."""
+    """Pool failure warns, whether or not the request was auto-capped; a
+    pool that breaks mid-sweep leaves its unfinished chunks to the parent."""
 
     def _study(self):
         return (Study().workload("fft", size=16, frames=1)
@@ -272,7 +310,6 @@ class TestSerialFallbackWarning(object):
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             broken_pool)
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
 
     def test_pool_failure_warns_by_default(self, monkeypatch):
         self._break_pool(monkeypatch)
@@ -287,3 +324,73 @@ class TestSerialFallbackWarning(object):
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = self._study().run(workers=64)
         assert len(result.rows) == 2
+
+    ADDERS = ["ADDt(16,10)", "ACA(16,8)", "ETAIV(16,4)", "ADDt(16,12)",
+              "ACA(16,10)", "ADDt(16,8)"]
+
+    def test_pool_broken_on_second_chunk_runs_the_rest_in_process(
+            self, monkeypatch, tmp_path):
+        import concurrent.futures
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.core import study as study_module
+
+        def study(store):
+            return (Study().workload("fft", size=16, frames=1)
+                    .adders(self.ADDERS).store(store))
+
+        serial = study(tmp_path / "serial").run(workers=1)
+        pool_ran, parent_ran, saved = [], [], []
+        in_pool = [False]
+
+        class BreaksOnSecondChunk(object):
+            """Runs its first chunk; every later one finds it broken."""
+
+            def __init__(self, max_workers):
+                self.chunks = 0
+
+            def submit(self, fn, tasks):
+                self.chunks += 1
+                future = concurrent.futures.Future()
+                if self.chunks >= 2:
+                    future.set_exception(BrokenProcessPool("a worker died"))
+                    return future
+                in_pool[0] = True
+                future.set_result(fn(tasks))
+                in_pool[0] = False
+                return future
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+        execute_points = study_module._execute_points
+
+        def recording_execute_points(tasks):
+            names = [operators.swept.name for _, operators, _, _ in tasks]
+            (pool_ran if in_pool[0] else parent_ran).extend(names)
+            return execute_points(tasks)
+
+        save_key = ResultStore.save_key
+
+        def recording_save_key(store, key, payload):
+            saved.append(key.digest)
+            return save_key(store, key, payload)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            BreaksOnSecondChunk)
+        monkeypatch.setattr(study_module, "_execute_points",
+                            recording_execute_points)
+        monkeypatch.setattr(ResultStore, "save_key", recording_save_key)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            pooled = study(tmp_path / "pooled").run(workers=3)
+        assert pooled.rows == serial.rows
+        # Chunks of 2: the pool ran the first, the parent the two it broke
+        # on (and the first again only if the break was seen before it).
+        assert pool_ran == self.ADDERS[:2]
+        assert set(self.ADDERS[2:]) <= set(parent_ran)
+        assert set(pool_ran) | set(parent_ran) == set(self.ADDERS)
+        assert len(saved) == len(set(saved)) == len(self.ADDERS)
