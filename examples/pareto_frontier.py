@@ -10,8 +10,8 @@ the FFT workload in one run —
   fixed-point word lengths), whose multiplier shrinks with the emitted data
   width (the sizing-propagation coupling of ``minimal_multiplier_for``) —
 
-and extracts the PSNR-versus-energy Pareto front incrementally while the
-sweep executes.  The front rows carry an ``axis`` column, so the "hidden
+and extracts the PSNR-versus-energy Pareto front from the swept rows.
+The front rows carry an ``axis`` column, so the "hidden
 cost" question — does functional approximation ever beat careful sizing? —
 is answered by simply looking at which population holds the front.
 

@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from .core.backends import describe_backends
-from .core.study import parse_shard, resolve_workers
+from .core.study import parse_shard, process_pool, resolve_workers
 
 PROG = "python -m repro"
 
@@ -536,13 +536,21 @@ def _cmd_search(args: argparse.Namespace) -> int:
                                generations=args.generations)
     study = target.study(reduced=args.reduced, backend=args.backend,
                          store=args.store)
-    started = time.perf_counter()
-    outcome = study.search(strategy, workers=args.workers)
-    seconds = time.perf_counter() - started
-    _log(f"{target.name}: {strategy.name} evaluated {outcome.evaluations} "
-         f"candidate(s) of {outcome.space_size} in {seconds:.1f}s — "
-         f"{len(outcome.front.records)} on the front, "
-         f"{outcome.store_hits} served warm")
+    # One process pool serves the search and its exhaustive reference.
+    with process_pool(resolve_workers(args.workers)) as pool:
+        started = time.perf_counter()
+        outcome = study.search(strategy, workers=args.workers, pool=pool)
+        seconds = time.perf_counter() - started
+        _log(f"{target.name}: {strategy.name} evaluated {outcome.evaluations} "
+             f"candidate(s) of {outcome.space_size} in {seconds:.1f}s — "
+             f"{len(outcome.front.records)} on the front, "
+             f"{outcome.store_hits} served warm")
+        if args.gate_exhaustive:
+            exhaustive = (target.study(reduced=args.reduced,
+                                       backend=args.backend, store=args.store)
+                          .design_space(target.space())
+                          .rows(search_row)
+                          .run(workers=args.workers, pool=pool))
     document: Dict[str, object] = {
         "command": "search",
         "target": target.name,
@@ -563,11 +571,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                  f"evaluations (gate: {args.max_cost_fraction:.1%})")
             status = 1
     if args.gate_exhaustive:
-        exhaustive = (target.study(reduced=args.reduced,
-                                   backend=args.backend, store=args.store)
-                      .design_space(target.space())
-                      .rows(search_row)
-                      .run(workers=args.workers))
         reference = exhaustive.front(target.quality, target.cost)
         recall = outcome.front.rows == reference.rows
         document["exhaustive_evaluations"] = len(exhaustive.rows)

@@ -66,6 +66,8 @@ def canonical_key(value: object) -> object:
     (a probe, then a save on a miss) canonicalises it once into a
     :class:`StoreKey`.
     """
+    if value is None or type(value) in (str, int, float, bool):
+        return value  # exact types only: NumPy scalar subclasses unwrap below
     import numpy as np
 
     if isinstance(value, dict):
@@ -139,6 +141,7 @@ class ResultStore:
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
+        self._root = os.fspath(self.directory)  # loads format their paths
         # Writes are atomic (os.replace) and corruption reads as a miss, so
         # cross-process concurrency was always safe; this lock additionally
         # makes the *in-process* read-modify paths (absorb's check-then-copy,
@@ -186,8 +189,11 @@ class ResultStore:
         return payload
 
     def _load_validated(self, record: StoreKey) -> Optional[Dict[str, object]]:
+        # One read of the raw bytes: undecodable ones are a ValueError.
         try:
-            document = json.loads(self._path(record).read_text())
+            with open(f"{self._root}/{record.kind}/{record.digest}.json",
+                      "rb") as handle:
+                document = json.loads(handle.read())
         except (OSError, ValueError):
             return None
         if not isinstance(document, dict):

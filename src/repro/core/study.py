@@ -83,6 +83,16 @@ class SweepOutcome:
     energy_model: Optional[DatapathEnergyModel] = None
 
 
+@dataclass
+class SweepRun:
+    """One execution of a sweep (:meth:`Study.execute`), for
+    :meth:`Study.emit`: the selected points' outcomes in sweep order and
+    how many of them the store served."""
+
+    outcomes: List[SweepOutcome]
+    store_hits: int = 0
+
+
 RowBuilder = Callable[[SweepOutcome], Dict[str, object]]
 OperatorLike = Union[Operator, str]
 
@@ -298,13 +308,10 @@ class Study:
 
     def pareto(self, quality: str, cost: str, maximize_quality: bool = True,
                minimize_cost: bool = True) -> "Study":
-        """Extract the quality-versus-cost Pareto front while running.
+        """Extract the quality-versus-cost Pareto front of the rows.
 
-        The front is updated *incrementally* as sweep points complete —
-        including out-of-order completions from a process pool — and is
-        attached to the emitted result under
-        ``result.fronts[f"{quality}_vs_{cost}"]``; it is bit-identical to a
-        serial in-order extraction.
+        The front is attached to the emitted result under
+        ``result.fronts[f"{quality}_vs_{cost}"]``.
         """
         self._pareto_axes = (str(quality), str(cost), bool(maximize_quality),
                              bool(minimize_cost))
@@ -405,41 +412,81 @@ class Study:
         ``workers > 1`` runs the pending points as that many contiguous
         chunks, one ``run_many`` call each, on ``pool`` (a run's shared
         :func:`process_pool`) or on a pool opened for this call only.
-        Energy charging, Pareto-front maintenance and row emission stay in
-        the parent — rows are processed as chunks complete (which is how
-        the incremental front fills in) but always emitted in sweep order,
-        so the result is bit-identical to a serial run.  With a configured
-        :meth:`store`, recorded sweep points skip their simulation
-        entirely and fresh ones are persisted.
+        Energy charging and row emission stay in the parent, in sweep
+        order, so the result is bit-identical to a serial run.  With a
+        configured :meth:`store`, recorded sweep points skip their
+        simulation entirely and fresh ones are persisted.
 
         ``probed`` is this study's :meth:`probe`, taken against the
         configured store: the run uses its keys and payloads instead of
         canonicalising and reading each record again.
 
         The requested ``workers`` is clamped to ``[1, os.cpu_count()]``
-        (:func:`resolve_workers`).
+        (:func:`resolve_workers`).  A run emits its :meth:`execute`.
+        """
+        return self.emit(self.execute(workers, probed, pool))
+
+    def execute(self, workers: int = 1,
+                probed: Optional[Sequence[Probe]] = None,
+                pool: Optional[Executor] = None) -> SweepRun:
+        """Execute the sweep (arguments of :meth:`run`) for :meth:`emit`.
+
+        Every study describing the same sweep — workload, configuration,
+        points, energy model, store and shard — can emit one execution
+        with its own rows, front and metadata; ``run_all`` emits the
+        experiments that view one sweep that way.
         """
         workers = resolve_workers(workers)
         if self._workload is None:
             raise ValueError("no workload selected; call .workload(...) first")
-        workload = self._workload
+        workload, points = self._workload, self._points
         config, seed = self._merged_config(workload)
-        # Offer this study's store to a store-less energy model for the
-        # duration of the run only: a model shared across studies must not
-        # keep the first study's store directory (restored in the finally
-        # below), while a model configured with its own store is never
-        # touched.
-        store_offered = (self._store is not None
-                         and self._energy_model is not None
-                         and self._energy_model.store is None)
-        if store_offered:
-            self._energy_model.store = self._store
+        selected, tasks = self._resolved_tasks(workload, config, seed)
+        if probed is not None and (self._store is None
+                                   or len(probed) != len(tasks)):
+            raise ValueError("'probed' must be this study's probe() against "
+                             "its configured store")
+        if self._store is not None and probed is None:
+            probed = self._probe(tasks, config)
+        outcomes: Dict[int, SweepOutcome] = {}
+        store_hits = 0
+        with self._store_offered():
+            for index, outcome, fresh in self._outcomes(tasks, workers,
+                                                        probed, pool):
+                point = points[index]
+                store_hits += not fresh
+                # A bare-operator point has no datapath pairing to charge.
+                charged = point.role != "operator"
+                adder = point.adder if charged else None
+                multiplier = point.multiplier if charged else None
+                energy = None
+                if self._energy_model is not None and adder is not None:
+                    energy = self._energy_model.application_energy_pj(
+                        outcome.counts, adder, multiplier,
+                        constant_coefficient_multiplications=self._constant_coefficient)
+                outcomes[index] = SweepOutcome(
+                    index=index, workload=workload.name, point=point,
+                    swept=point.swept, adder=adder, multiplier=multiplier,
+                    metrics=dict(outcome.metrics), counts=outcome.counts,
+                    details=dict(outcome.details), energy=energy,
+                    energy_model=self._energy_model)
+        # Every selected index is yielded exactly once.
+        return SweepRun([outcomes[index] for index in selected], store_hits)
+
+    @contextmanager
+    def _store_offered(self):
+        """Lend this study's store to a store-less energy model for the
+        block only: a model shared across studies must not keep it."""
+        model = self._energy_model
+        lend = self._store is not None and model is not None \
+            and model.store is None
+        if lend:
+            model.store = self._store
         try:
-            return self._run_resolved(workload, config, seed, workers,
-                                      probed, pool)
+            yield
         finally:
-            if store_offered:
-                self._energy_model.store = None
+            if lend:
+                model.store = None
 
     def _merged_config(self, workload: Workload
                        ) -> Tuple[Dict[str, object], int]:
@@ -522,76 +569,27 @@ class Study:
         keys = [self._store_key(task, config, shared) for _, task in tasks]
         return [(key, self._store.load_key(key)) for key in keys]
 
-    def _run_resolved(self, workload: Workload, config: Dict[str, object],
-                      seed: int, workers: int,
-                      probed: Optional[Sequence[Probe]] = None,
-                      pool: Optional[Executor] = None) -> ExperimentResult:
-        """Execute the configured sweep (see :meth:`run`)."""
-        points = self._points
-        selected, tasks = self._resolved_tasks(workload, config, seed)
-        if probed is not None and (self._store is None
-                                   or len(probed) != len(tasks)):
-            raise ValueError("'probed' must be this study's probe() against "
-                             "its configured store")
-        if self._store is not None and probed is None:
-            probed = self._probe(tasks, config)
-
-        front: Optional[ParetoFront] = None
-        if self._pareto_axes is not None:
-            quality, cost, maximize_quality, minimize_cost = self._pareto_axes
-            front = ParetoFront(quality, cost,
-                                maximize_quality=maximize_quality,
-                                minimize_cost=minimize_cost)
-
-        build_row = self._row_builder or _default_row
-        rows: Dict[int, Dict[str, object]] = {}
-        store_hits = 0
-        for index, outcome, fresh in self._outcomes(tasks, workers, probed, pool):
-            point = points[index]
-            if not fresh:
-                store_hits += 1
-            # A bare-operator point has no datapath pairing to charge.
-            charged = point.role != "operator"
-            adder = point.adder if charged else None
-            multiplier = point.multiplier if charged else None
-            energy = None
-            if self._energy_model is not None and adder is not None:
-                energy = self._energy_model.application_energy_pj(
-                    outcome.counts, adder, multiplier,
-                    constant_coefficient_multiplications=self._constant_coefficient)
-            sweep_outcome = SweepOutcome(
-                index=index,
-                workload=workload.name,
-                point=point,
-                swept=point.swept,
-                adder=adder,
-                multiplier=multiplier,
-                metrics=dict(outcome.metrics),
-                counts=outcome.counts,
-                details=dict(outcome.details),
-                energy=energy,
-                energy_model=self._energy_model,
-            )
-            row = build_row(sweep_outcome)
-            rows[index] = row
-            if front is not None:
-                front.update(row, index)
-
-        metadata = self._metadata if self._metadata is not None \
-            else {"workload": workload.name, "seed": seed,
-                  "sweep_points": len(points),
-                  "backend": backend_spec(self._backend)}
+    def emit(self, sweep: SweepRun) -> ExperimentResult:
+        """This study's rows, :meth:`pareto` front and metadata from one
+        :meth:`execute` of its sweep."""
+        if self._workload is None:
+            raise ValueError("no workload selected; call .workload(...) first")
+        workload, points = self._workload, self._points
+        metadata = dict(self._metadata) if self._metadata is not None else {
+            "workload": workload.name,
+            "seed": self._merged_config(workload)[1],
+            "sweep_points": len(points),
+            "backend": backend_spec(self._backend)}
         if self._store is not None:
-            # self._metadata is already a private copy (made in experiment()),
-            # so annotating it never mutates caller state.
-            metadata["store_hits"] = store_hits
+            metadata["store_hits"] = sweep.store_hits
         if self._shard is not None:
             # One key, stripped wholesale by ExperimentResult.merge_shards so
             # merged metadata matches an unsharded run's exactly.
             metadata["shard"] = {"index": self._shard[0],
                                  "count": self._shard[1],
                                  "sweep_points": len(points),
-                                 "sweep_indices": list(selected)}
+                                 "sweep_indices": [outcome.index for outcome
+                                                   in sweep.outcomes]}
         experiment = ExperimentResult(
             experiment=self._experiment or f"{workload.name}_{self._axis}_sweep",
             description=self._description or (
@@ -600,12 +598,17 @@ class Study:
             columns=list(self._columns) if self._columns is not None else [],
             metadata=metadata,
         )
-        for index in selected:
-            row = rows[index]  # every selected index is yielded exactly once
-            if not experiment.columns:
-                experiment.columns = list(row)
-            experiment.add_row(**row)
-        if front is not None:
+        build_row = self._row_builder or _default_row
+        with self._store_offered():
+            for outcome in sweep.outcomes:
+                row = build_row(outcome)
+                if not experiment.columns:
+                    experiment.columns = list(row)
+                experiment.add_row(**row)
+        if self._pareto_axes is not None:
+            front = ParetoFront(*self._pareto_axes)
+            for outcome, row in zip(sweep.outcomes, experiment.rows):
+                front.update(row, outcome.index)
             experiment.fronts[front.key] = front
         return experiment
 
@@ -634,8 +637,8 @@ class Study:
         or, without one, on one process pool opened for the whole search.
 
         The study is consumed as the search's evaluator: its operator list
-        is rewritten per candidate batch, so do not reuse it for a sweep
-        afterwards.
+        is rewritten per candidate batch and its Pareto axes move to the
+        evaluator, so do not reuse it afterwards.
         """
         from ..search.evaluator import SearchEvaluator
 
@@ -703,14 +706,18 @@ class Study:
         """:meth:`_sweep_key` of ``task``, canonicalised once.
 
         Only the config needs canonicalising — every other field is a
-        string, an int or ``None`` — and a point running on the shared
-        config reuses its canonical form.  The result equals
+        string, an int or ``None``.  A point's config reuses the shared
+        config's canonical form for every value it shares by identity and
+        canonicalises only the values it overrides.  The result equals
         ``StoreKey.of("sweep", self._sweep_key(task))``.
         """
         key = self._sweep_key(task)
         config = key["config"]
-        key["config"] = shared_canonical if config is shared_config \
-            else canonical_key(config)
+        key["config"] = shared_canonical if config is shared_config else {
+            str(name): shared_canonical[str(name)]
+            if name in shared_config and config[name] is shared_config[name]
+            else canonical_key(config[name])
+            for name in sorted(config, key=str)}
         return StoreKey.from_canonical("sweep", dict(sorted(key.items())))
 
     def _sweep_key(self, task: SweepTask) -> Dict[str, object]:
@@ -736,9 +743,9 @@ class Study:
         ``pending`` is cut into ``min(workers, len(pending))`` contiguous,
         near-equal chunks, each one :func:`_execute_points` call.  One
         chunk runs in process; several run on ``pool`` (or a pool opened
-        for this call) and stream out in completion order, which feeds the
-        incremental Pareto front.  A pool that cannot start or breaks runs
-        its unfinished chunks in process.
+        for this call) and stream out in completion order, so a chunk's
+        fresh records are saved as it finishes.  A pool that cannot start
+        or breaks runs its unfinished chunks in process.
         """
         count, size = min(workers, len(pending)), len(pending)
         unfinished = {part: pending[part * size // count:(part + 1) * size // count]

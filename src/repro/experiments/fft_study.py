@@ -10,9 +10,10 @@ Both experiments are expressed as *declarative design spaces* over the
 :mod:`repro.core.designspace` engine: the Figure 5 sweep is literally the
 joint sized + approximate adder space
 (:func:`~repro.core.designspace.joint_adder_space`), and
-:func:`fft_joint_frontier` extracts the paper's headline
-quality-versus-energy Pareto frontier from it incrementally while the sweep
-runs.  Each function returns its configured but unrun
+:func:`fft_joint_frontier` is a second view of that same sweep — its own
+rows, the paper's headline quality-versus-energy Pareto front and
+metadata.  ``run_all`` executes the sweep once and emits both views from
+it.  Each function returns its configured but unrun
 :class:`~repro.core.study.Study` (energy charged by a fresh Equation 1
 model); ``.run()`` produces the result.
 """
@@ -73,51 +74,49 @@ def fft_adder_sweep(size: int = 32, input_width: int = 16,
             .rows(row))
 
 
+def joint_frontier_view(study: Study, name: str, quality: str,
+                        description: str, metadata: dict) -> Study:
+    """An adder sweep over a joint design space viewed as a joint frontier.
+
+    Rows carry each point's ``design`` / ``axis`` / ``word_length`` (which
+    tell the approximate and sized populations apart), its operators, the
+    ``quality`` metric and the Equation 1 energy split; the
+    ``quality``-versus-energy Pareto front is attached under
+    ``fronts[f"{quality}_vs_total_energy_pj"]``.
+    """
+    energy = ["adder_energy_pj", "multiplier_energy_pj", "total_energy_pj"]
+
+    def row(point: SweepOutcome) -> dict:
+        # describe(): design, axis, word_length, adder and multiplier.
+        return {**point.point.describe(), quality: point.metrics[quality],
+                **{column: getattr(point.energy, column) for column in energy}}
+
+    return (study
+            .pareto(quality=quality, cost="total_energy_pj")
+            .experiment(name, description=description,
+                        columns=["design", "axis", "word_length", "adder",
+                                 "multiplier", quality, *energy],
+                        metadata={**metadata,
+                                  "design_points": len(study._points)})
+            .rows(row))
+
+
 def fft_joint_frontier(size: int = 32, input_width: int = 16,
                        frames: int = 8, reduced: bool = False) -> Study:
     """The paper's headline comparison on the FFT: a joint Pareto frontier.
 
-    Sweeps the unified design space — functionally approximate adders and
-    word-length-sized exact datapaths, each with its sizing-propagated
-    multiplier pairing — and extracts the PSNR-versus-energy Pareto front
-    incrementally as sweep points complete.  The front is attached to the
-    result under ``fronts["psnr_db_vs_total_energy_pj"]`` and its rows
-    carry the ``axis`` / ``word_length`` columns that tell the two
-    populations apart.
+    A view (:func:`joint_frontier_view`) of the Figure 5 sweep: the same
+    points — functionally approximate adders and word-length-sized exact
+    datapaths, each with its sizing-propagated multiplier pairing — on one
+    PSNR-versus-energy front under ``fronts["psnr_db_vs_total_energy_pj"]``.
     """
-    space = fft_design_space(input_width, reduced=reduced)
-
-    def row(point: SweepOutcome) -> dict:
-        info = point.point.describe()
-        return dict(
-            design=info["design"],
-            axis=info["axis"],
-            word_length=info["word_length"],
-            adder=point.adder.name,
-            multiplier=point.multiplier.name,
-            psnr_db=point.metrics["psnr_db"],
-            adder_energy_pj=point.energy.adder_energy_pj,
-            multiplier_energy_pj=point.energy.multiplier_energy_pj,
-            total_energy_pj=point.energy.total_energy_pj,
-        )
-
-    return (Study()
-            .workload("fft", size=size, data_width=input_width, frames=frames)
-            .design_space(space)
-            .energy()
-            .pareto(quality="psnr_db", cost="total_energy_pj")
-            .experiment(
-                "fft_joint_frontier",
-                description=("FFT-32 joint design space: approximate "
-                             "operators versus word-length-sized exact "
-                             "datapaths on one PSNR-versus-energy frontier "
-                             "(the paper's headline comparison)"),
-                columns=["design", "axis", "word_length", "adder",
-                         "multiplier", "psnr_db", "adder_energy_pj",
-                         "multiplier_energy_pj", "total_energy_pj"],
-                metadata={"fft_size": size, "frames": frames,
-                          "design_points": len(space)})
-            .rows(row))
+    return joint_frontier_view(
+        fft_adder_sweep(size, input_width, frames=frames, reduced=reduced),
+        "fft_joint_frontier", "psnr_db",
+        "FFT-32 joint design space: approximate operators versus "
+        "word-length-sized exact datapaths on one PSNR-versus-energy "
+        "frontier (the paper's headline comparison)",
+        {"fft_size": size, "frames": frames})
 
 
 def fft_multiplier_comparison(size: int = 32, input_width: int = 16,

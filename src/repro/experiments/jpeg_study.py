@@ -8,8 +8,10 @@ the DCT's additions and multiplications).
 
 The sweep is expressed as a declarative design space over
 :mod:`repro.core.designspace` — sized and approximate adder axes — and
-:func:`jpeg_joint_frontier` extracts the joint MSSIM-versus-energy Pareto
-frontier (the paper's "hidden cost" comparison on the JPEG workload).
+:func:`jpeg_joint_frontier` is a second view of that same sweep: its own
+rows, the joint MSSIM-versus-energy Pareto front (the paper's "hidden
+cost" comparison on the JPEG workload) and metadata.
+``run_all`` executes the sweep once and emits both views from it.
 Each function returns its configured but unrun
 :class:`~repro.core.study.Study` (energy charged by a fresh Equation 1
 model); ``.run()`` produces the result.
@@ -29,6 +31,7 @@ from ..core.exploration import (
 )
 from ..core.study import Study, SweepOutcome
 from ..operators.base import AdderOperator
+from .fft_study import joint_frontier_view
 
 
 def jpeg_design_space(input_width: int = 16,
@@ -96,45 +99,19 @@ def jpeg_joint_frontier(image: Optional[np.ndarray] = None, quality: int = 90,
                         reduced: bool = False) -> Study:
     """The paper's headline comparison on JPEG: a joint Pareto frontier.
 
-    Mirrors :func:`repro.experiments.fft_study.fft_joint_frontier` on the
-    JPEG workload — both populations (approximate adders, word-length-sized
-    exact datapaths with sizing-propagated multiplier energy) compete on
-    one MSSIM-versus-energy front, attached under
-    ``fronts["mssim_vs_total_energy_pj"]``.
+    A view (:func:`~repro.experiments.fft_study.joint_frontier_view`) of
+    the Figure 6 sweep, mirroring
+    :func:`~repro.experiments.fft_study.fft_joint_frontier`: both
+    populations (approximate adders, word-length-sized exact datapaths
+    with sizing-propagated multiplier energy) compete on one
+    MSSIM-versus-energy front under ``fronts["mssim_vs_total_energy_pj"]``.
     """
     if image is None:
         image = synthetic_image(image_size)
-    space = jpeg_design_space(input_width, reduced=reduced)
-
-    def row(point: SweepOutcome) -> dict:
-        info = point.point.describe()
-        return dict(
-            design=info["design"],
-            axis=info["axis"],
-            word_length=info["word_length"],
-            adder=point.adder.name,
-            multiplier=point.multiplier.name,
-            mssim=point.metrics["mssim"],
-            adder_energy_pj=point.energy.adder_energy_pj,
-            multiplier_energy_pj=point.energy.multiplier_energy_pj,
-            total_energy_pj=point.energy.total_energy_pj,
-        )
-
-    return (Study()
-            .workload("jpeg", quality=quality, image=image,
-                      data_width=input_width)
-            .design_space(space)
-            .energy()
-            .pareto(quality="mssim", cost="total_energy_pj")
-            .experiment(
-                "jpeg_joint_frontier",
-                description=("JPEG joint design space: approximate operators "
-                             "versus word-length-sized exact datapaths on one "
-                             "MSSIM-versus-energy frontier (the paper's "
-                             "headline comparison)"),
-                columns=["design", "axis", "word_length", "adder",
-                         "multiplier", "mssim", "adder_energy_pj",
-                         "multiplier_energy_pj", "total_energy_pj"],
-                metadata={"quality": quality, "image_pixels": int(image.size),
-                          "design_points": len(space)})
-            .rows(row))
+    return joint_frontier_view(
+        jpeg_adder_sweep(image, quality, input_width, reduced=reduced),
+        "jpeg_joint_frontier", "mssim",
+        "JPEG joint design space: approximate operators versus "
+        "word-length-sized exact datapaths on one MSSIM-versus-energy "
+        "frontier (the paper's headline comparison)",
+        {"quality": quality, "image_pixels": int(image.size)})

@@ -11,8 +11,11 @@ The suite is organised as a *registry* (:data:`EXPERIMENTS`): one
 shard).  A sweep experiment function returns its configured but unrun
 :class:`~repro.core.study.Study`; the registry entry only maps the run's
 densities to that function's arguments, and one helper applies the rest of
-the run configuration to every study before running it.  That registry is
-what the ``python -m repro`` CLI lists, selects from and shards over:
+the run configuration to every study before running it.  An entry names the
+sweep it views: the joint frontiers view the Figure 5 and Figure 6 sweeps,
+so a run executes each distinct sweep once and emits every selected view of
+it from that one execution.  That registry is what the ``python -m repro``
+CLI lists, selects from and shards over:
 
 * ``experiments=`` selects a subset by name (``run_all`` order preserved);
 * ``shard=(i, n)`` (or ``"i/n"``) partitions every experiment's design
@@ -38,7 +41,7 @@ from ..core.backends import BackendLike, backend_spec
 from ..core.datapath import DatapathEnergyModel
 from ..core.results import ExperimentResult, ResultBundle
 from ..core.store import ResultStore, StoreLike
-from ..core.study import ShardLike, Study, parse_shard, process_pool, resolve_workers
+from ..core.study import ShardLike, Study, SweepRun, parse_shard, process_pool, resolve_workers
 from .ablations import multiplier_compensation_ablation, rounding_mode_ablation
 from .adders_study import adder_error_cost_study
 from .fft_study import fft_adder_sweep, fft_joint_frontier, fft_multiplier_comparison
@@ -99,8 +102,13 @@ class ExperimentSpec:
     name: str
     #: One-line summary shown by ``python -m repro list``.
     title: str
-    #: Builds the result from the shared run configuration.
-    build: Callable[[RunConfig], ExperimentResult]
+    #: Builds the result from the shared run configuration and the run's
+    #: executed sweeps by name.
+    build: Callable[[RunConfig, Dict[str, SweepRun]], ExperimentResult]
+    #: The sweep this experiment views (``None``: not a sweep).  A run
+    #: executes each sweep once and emits every view of it from there, so
+    #: a shard partitions the views of one sweep alike.
+    sweep: Optional[str] = None
     #: Extension ablations are skipped by ``include_ablations=False``.
     ablation: bool = False
     #: Adaptive experiments cannot be partitioned by sweep index — their
@@ -110,25 +118,31 @@ class ExperimentSpec:
     shardable: bool = True
 
 
-def _sweep(study: Callable[[RunConfig], Study]
-           ) -> Callable[[RunConfig], ExperimentResult]:
-    """The ``build`` of a sweep experiment: its study under the run config.
+def _sweep(name: str, title: str, study: Callable[[RunConfig], Study],
+           sweep: Optional[str] = None, ablation: bool = False
+           ) -> ExperimentSpec:
+    """A sweep experiment viewing ``sweep`` (by default its own).
 
     ``study`` maps the run's sweep densities to the experiment function's
     domain arguments; the backend, energy model, store, shard, workers and
-    pool are applied here, once, for every sweep in the registry.
+    pool are applied here, once, for every sweep in the registry.  The
+    first view of a sweep executes it into ``swept``.
     """
-    def build(cfg: RunConfig) -> ExperimentResult:
-        return (study(cfg)
+    sweep = sweep or name
+
+    def build(cfg: RunConfig, swept: Dict[str, SweepRun]) -> ExperimentResult:
+        view = (study(cfg)
                 .backend(cfg.backend)
                 .energy(cfg.energy_model)
                 .store(cfg.store)
-                .shard(cfg.shard)
-                .run(workers=cfg.workers, pool=cfg.pool))
-    return build
+                .shard(cfg.shard))
+        if sweep not in swept:
+            swept[sweep] = view.execute(workers=cfg.workers, pool=cfg.pool)
+        return view.emit(swept[sweep])
+    return ExperimentSpec(name, title, build, sweep=sweep, ablation=ablation)
 
 
-def _search(cfg: RunConfig) -> ExperimentResult:
+def _search(cfg: RunConfig, swept: Dict[str, SweepRun]) -> ExperimentResult:
     # The search drives Study.search, not Study.run, so it takes the run
     # configuration as arguments of its own.
     return fft_heterogeneous_search(reduced=cfg.reduced, workers=cfg.workers,
@@ -137,74 +151,60 @@ def _search(cfg: RunConfig) -> ExperimentResult:
 
 
 EXPERIMENTS: Dict[str, ExperimentSpec] = {spec.name: spec for spec in (
-    ExperimentSpec(
-        "fig3_fig4_adders",
-        "16-bit adders: error metrics versus hardware cost (Figures 3-4)",
-        _sweep(lambda cfg: adder_error_cost_study(
-            error_samples=cfg.error_samples, reduced=cfg.reduced))),
-    ExperimentSpec(
-        "table1_multipliers",
-        "16-bit fixed-width multipliers characterised (Table I)",
-        _sweep(lambda cfg: multiplier_comparison(
-            error_samples=cfg.error_samples))),
-    ExperimentSpec(
-        "fig5_fft_adders",
-        "FFT-32 energy versus PSNR with the adders swept (Figure 5)",
-        _sweep(lambda cfg: fft_adder_sweep(
-            reduced=cfg.reduced, frames=cfg.frames))),
-    ExperimentSpec(
-        "table2_fft_multipliers",
-        "FFT-32 with fixed-width multipliers swapped (Table II)",
-        _sweep(lambda cfg: fft_multiplier_comparison(frames=cfg.frames))),
-    ExperimentSpec(
-        "fft_joint_frontier",
-        "FFT joint approximate-versus-sized Pareto frontier (headline)",
-        _sweep(lambda cfg: fft_joint_frontier(
-            reduced=cfg.reduced, frames=cfg.frames))),
-    ExperimentSpec(
-        "fig6_jpeg",
-        "JPEG DCT energy versus MSSIM with the adders swept (Figure 6)",
-        _sweep(lambda cfg: jpeg_adder_sweep(
-            image_size=cfg.image_size, reduced=cfg.reduced))),
-    ExperimentSpec(
-        "jpeg_joint_frontier",
-        "JPEG joint approximate-versus-sized Pareto frontier (headline)",
-        _sweep(lambda cfg: jpeg_joint_frontier(
-            image_size=cfg.image_size, reduced=cfg.reduced))),
-    ExperimentSpec(
-        "table3_hevc_adders",
-        "HEVC motion compensation with the adders swapped (Table III)",
-        _sweep(lambda cfg: hevc_adder_table(image_size=cfg.image_size))),
-    ExperimentSpec(
-        "table4_hevc_multipliers",
-        "HEVC motion compensation with the multipliers swapped (Table IV)",
-        _sweep(lambda cfg: hevc_multiplier_table(image_size=cfg.image_size))),
-    ExperimentSpec(
-        "table5_kmeans_adders",
-        "K-means distance datapath with the adders swapped (Table V)",
-        _sweep(lambda cfg: kmeans_adder_table(
-            runs=cfg.kmeans_runs, points_per_run=cfg.kmeans_points))),
-    ExperimentSpec(
-        "table6_kmeans_multipliers",
-        "K-means distance datapath with the multipliers swapped (Table VI)",
-        _sweep(lambda cfg: kmeans_multiplier_table(
-            runs=cfg.kmeans_runs, points_per_run=cfg.kmeans_points))),
+    _sweep("fig3_fig4_adders",
+           "16-bit adders: error metrics versus hardware cost (Figures 3-4)",
+           lambda cfg: adder_error_cost_study(
+               error_samples=cfg.error_samples, reduced=cfg.reduced)),
+    _sweep("table1_multipliers",
+           "16-bit fixed-width multipliers characterised (Table I)",
+           lambda cfg: multiplier_comparison(error_samples=cfg.error_samples)),
+    _sweep("fig5_fft_adders",
+           "FFT-32 energy versus PSNR with the adders swept (Figure 5)",
+           lambda cfg: fft_adder_sweep(reduced=cfg.reduced, frames=cfg.frames)),
+    _sweep("table2_fft_multipliers",
+           "FFT-32 with fixed-width multipliers swapped (Table II)",
+           lambda cfg: fft_multiplier_comparison(frames=cfg.frames)),
+    _sweep("fft_joint_frontier",
+           "FFT joint approximate-versus-sized Pareto frontier (headline)",
+           lambda cfg: fft_joint_frontier(reduced=cfg.reduced,
+                                          frames=cfg.frames),
+           sweep="fig5_fft_adders"),
+    _sweep("fig6_jpeg",
+           "JPEG DCT energy versus MSSIM with the adders swept (Figure 6)",
+           lambda cfg: jpeg_adder_sweep(image_size=cfg.image_size,
+                                        reduced=cfg.reduced)),
+    _sweep("jpeg_joint_frontier",
+           "JPEG joint approximate-versus-sized Pareto frontier (headline)",
+           lambda cfg: jpeg_joint_frontier(image_size=cfg.image_size,
+                                           reduced=cfg.reduced),
+           sweep="fig6_jpeg"),
+    _sweep("table3_hevc_adders",
+           "HEVC motion compensation with the adders swapped (Table III)",
+           lambda cfg: hevc_adder_table(image_size=cfg.image_size)),
+    _sweep("table4_hevc_multipliers",
+           "HEVC motion compensation with the multipliers swapped (Table IV)",
+           lambda cfg: hevc_multiplier_table(image_size=cfg.image_size)),
+    _sweep("table5_kmeans_adders",
+           "K-means distance datapath with the adders swapped (Table V)",
+           lambda cfg: kmeans_adder_table(
+               runs=cfg.kmeans_runs, points_per_run=cfg.kmeans_points)),
+    _sweep("table6_kmeans_multipliers",
+           "K-means distance datapath with the multipliers swapped (Table VI)",
+           lambda cfg: kmeans_multiplier_table(
+               runs=cfg.kmeans_runs, points_per_run=cfg.kmeans_points)),
     ExperimentSpec(
         "fft_heterogeneous_search",
         "Per-stage heterogeneous FFT datapaths found adaptively (search)",
         _search, shardable=False),
-    ExperimentSpec(
-        "ablation_compensation",
-        "AAM/ABM compensation-circuit contribution (extension ablation)",
-        _sweep(lambda cfg: multiplier_compensation_ablation(
-            error_samples=cfg.error_samples)),
-        ablation=True),
-    ExperimentSpec(
-        "ablation_rounding_mode",
-        "LSB-elimination rounding-mode comparison (extension ablation)",
-        _sweep(lambda cfg: rounding_mode_ablation(
-            error_samples=cfg.error_samples)),
-        ablation=True),
+    _sweep("ablation_compensation",
+           "AAM/ABM compensation-circuit contribution (extension ablation)",
+           lambda cfg: multiplier_compensation_ablation(
+               error_samples=cfg.error_samples),
+           ablation=True),
+    _sweep("ablation_rounding_mode",
+           "LSB-elimination rounding-mode comparison (extension ablation)",
+           lambda cfg: rounding_mode_ablation(error_samples=cfg.error_samples),
+           ablation=True),
 )}
 
 
@@ -314,20 +314,25 @@ def run_all(output_dir: Optional[Union[str, Path]] = None, reduced: bool = True,
     workers = resolve_workers(workers)
     bundle = RunAllResult(shard=shard_pair, backend=backend_spec(backend),
                           reduced=reduced)
+    specs = select_experiments(experiments, include_ablations)
+    # A sweep's outcomes are dropped after its last selected view.
+    last_view = {spec.sweep: spec.name for spec in specs}
+    swept: Dict[str, SweepRun] = {}
     with process_pool(workers) as pool:
         config = RunConfig(reduced=reduced, workers=workers, backend=backend,
                            store=store, shard=shard_pair,
                            energy_model=DatapathEnergyModel(store=store),
                            pool=pool)
-        for spec in select_experiments(experiments, include_ablations):
+        for spec in specs:
             if shard_pair is not None and not spec.shardable:
                 # Adaptive experiments have no index partition; shard 0
                 # runs them whole (unsharded config), the others skip them.
-                if shard_pair[0] != 0:
-                    continue
-                bundle.add(spec.build(replace(config, shard=None)))
+                if shard_pair[0] == 0:
+                    bundle.add(spec.build(replace(config, shard=None), swept))
                 continue
-            bundle.add(spec.build(config))
+            bundle.add(spec.build(config, swept))
+            if last_view[spec.sweep] == spec.name:
+                swept.pop(spec.sweep, None)
     if output_dir is not None:
         bundle.save_all(output_dir)
         bundle.save_manifest(output_dir)

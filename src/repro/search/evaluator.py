@@ -90,11 +90,10 @@ class SearchEvaluator:
         self._pool = pool
         if study._row_builder is None:
             study.rows(search_row)
-        quality, cost, maximize_quality, minimize_cost = study._pareto_axes
-        self.quality = quality
-        self.cost = cost
-        self.maximize_quality = maximize_quality
-        self.minimize_cost = minimize_cost
+        # The axes move here, so the per-batch runs extract no front.
+        (self.quality, self.cost, self.maximize_quality,
+         self.minimize_cost) = study._pareto_axes
+        study._pareto_axes = None
         self._full_config, _ = study._merged_config(study._workload)
         self.evaluations = 0
         self.fresh_evaluations = 0

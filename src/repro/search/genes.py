@@ -117,8 +117,8 @@ class StagedGeneSpace(GeneSpace):
             raise ValueError("operator pool is empty")
         if stages < 1:
             raise ValueError("need at least one stage")
-        for spec in names:  # fail loudly on typos before any search runs
-            parse_operator(spec)
+        # Typos fail before any search runs; to_point reuses the operators.
+        self._operators = tuple(parse_operator(spec) for spec in names)
         self.pool: Tuple[str, ...] = tuple(names)
         self.stages = int(stages)
         self.config_key = str(config_key)
@@ -154,7 +154,7 @@ class StagedGeneSpace(GeneSpace):
         # the genome itself travels in the per-point configuration, which
         # both executes it (the workload builds one context per stage) and
         # keys its store record.
-        return DesignPoint(adder=parse_operator(names[0]),
+        return DesignPoint(adder=self._operators[genome[0]],
                            role="operator",
                            axis=AXIS_HETEROGENEOUS,
                            config=((self.config_key, names),))

@@ -18,7 +18,7 @@ import pytest
 from repro.core import DatapathEnergyModel, ResultStore
 from repro.core.designspace import joint_adder_space
 from repro.core.results import ExperimentResult, ResultBundle
-from repro.core.study import Study, parse_shard, resolve_workers
+from repro.core.study import Study, SweepRun, parse_shard, resolve_workers
 from repro.experiments import merge_run, run_all
 from repro.search import get_target
 
@@ -69,10 +69,9 @@ def test_run_config_reaches_every_sweep(monkeypatch, tmp_path):
 
     def record(study, workers=1, probed=None, pool=None):
         ran.append((study, workers, pool))
-        return ExperimentResult(experiment="recorded", description="",
-                                columns=[])
+        return SweepRun([])
 
-    monkeypatch.setattr(Study, "run", record)
+    monkeypatch.setattr(Study, "execute", record)
     cfg = RunConfig(reduced=True, workers=3, backend=DirectBackend(),
                     store=ResultStore(tmp_path / "store"), shard=(1, 3),
                     energy_model=DatapathEnergyModel(hardware_samples=200),
@@ -81,7 +80,7 @@ def test_run_config_reaches_every_sweep(monkeypatch, tmp_path):
         if name == "fft_heterogeneous_search":
             continue  # drives Study.search with its own arguments
         ran.clear()
-        spec.build(cfg)
+        spec.build(cfg, {})  # no sweep executed yet in this run
         assert len(ran) == 1, name
         study, workers, pool = ran[0]
         assert study._experiment == name
@@ -289,6 +288,57 @@ class TestOnePoolPerRun(object):
         serial = search(1)
         assert len(opened_pools) == 1
         assert pooled.to_dict() == serial.to_dict()
+
+    def test_gated_search_command_opens_one_pool(self, opened_pools, capsys):
+        # The search and its exhaustive reference share the pool.
+        from repro.cli import main
+
+        status = main(["search", "fft_joint", "--strategy", "halving",
+                       "--seed", "7", "--reduced", "--workers", "2",
+                       "--gate-exhaustive"])
+        capsys.readouterr()
+        assert status == 0
+        assert opened_pools == [{"max_workers": 2}]
+
+
+# --------------------------------------------------------------------------- #
+# Experiments viewing one sweep
+# --------------------------------------------------------------------------- #
+class TestSweepViews(object):
+    """The joint frontiers view the Figure 5 and Figure 6 sweeps."""
+
+    VIEWS = ["fft_joint_frontier", "jpeg_joint_frontier"]
+
+    @staticmethod
+    def _assert_same(left, right, names):
+        for name in names:
+            a, b = left.get(name), right.get(name)
+            assert a.rows == b.rows, name
+            assert {k: f.to_dict() for k, f in a.fronts.items()} \
+                == {k: f.to_dict() for k, f in b.fronts.items()}, name
+            assert a.metadata == b.metadata, name
+
+    def test_views_alone_equal_the_whole_suite(self):
+        from repro.experiments import EXPERIMENTS
+
+        assert [EXPERIMENTS[name].sweep for name in self.VIEWS] == \
+            ["fig5_fft_adders", "fig6_jpeg"]
+        alone = run_all(reduced=True, experiments=self.VIEWS)
+        assert sorted(alone.results) == sorted(self.VIEWS)
+        self._assert_same(alone, run_all(reduced=True), self.VIEWS)
+
+    def test_sharded_views_merge_to_the_unsharded_run(self):
+        names = self.VIEWS + ["fig5_fft_adders", "fig6_jpeg"]
+        whole = run_all(reduced=True, experiments=names)
+        parts = [run_all(reduced=True, shard=(index, 2), experiments=names)
+                 for index in range(2)]
+        for part in parts:
+            # Both views of a sweep cover the same shard of its points.
+            for sweep, view in (("fig5_fft_adders", "fft_joint_frontier"),
+                                ("fig6_jpeg", "jpeg_joint_frontier")):
+                assert part.get(sweep).metadata["shard"] == \
+                    part.get(view).metadata["shard"]
+        self._assert_same(merge_run(parts), whole, names)
 
 
 # --------------------------------------------------------------------------- #

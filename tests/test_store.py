@@ -119,6 +119,109 @@ class TestKeysComputedOnce(object):
         assert warm.rows == cold.rows
 
 
+class TestPointKeysFromSharedCanonicalForm(object):
+    """``Study._store_key`` reuses the shared canonical config and
+    canonicalises only a point's overrides; its keys must equal (and
+    serialise like) a full canonicalisation, or filled stores go cold."""
+
+    @staticmethod
+    def _assert_keys_match(study):
+        config, seed = study._merged_config(study._workload)
+        _, tasks = study._resolved_tasks(study._workload, config, seed)
+        shared = canonical_key(config)
+        overriding = 0
+        for _, task in tasks:
+            fast = study._store_key(task, config, shared)
+            full = StoreKey.of("sweep", study._sweep_key(task))
+            assert fast == full
+            assert json.dumps(fast.canonical) == json.dumps(full.canonical)
+            overriding += task[2] is not config
+        assert overriding  # the override path is exercised
+
+    def test_per_stage_fft_genomes(self):
+        from repro.search.genes import per_stage_fft_space
+
+        genes = per_stage_fft_space(size=16)
+        genomes = [(0, 1, 2, 3), (5, 5, 5, 5), (11, 0, 7, 2)]
+        self._assert_keys_match(
+            Study().workload("fft", size=16, frames=2)
+            .design_space([genes.to_point(genome) for genome in genomes]))
+
+    def test_per_pass_dct_genomes(self):
+        from repro.search.genes import per_pass_dct_space
+
+        genes = per_pass_dct_space()
+        self._assert_keys_match(
+            Study().workload("jpeg", size=32)
+            .design_space([genes.to_point(genome)
+                           for genome in [(0, 1), (4, 4), (10, 2)]]))
+
+    def test_halving_rung_density_overlay(self):
+        from repro.search import get_target
+        from repro.search.evaluator import SearchEvaluator
+
+        target = get_target("fft_joint")
+        study = target.study(reduced=True)
+        evaluator = SearchEvaluator(target.study(reduced=True))
+        points = list(target.space())[:4]
+        self._assert_keys_match(study.design_space(
+            points + [evaluator._with_density(point, {"frames": 1})
+                      for point in points]))
+
+    def test_jpeg_config_holding_the_stimulus_image(self):
+        from repro.experiments import jpeg_adder_sweep
+
+        study = jpeg_adder_sweep(image_size=32, reduced=True)
+        adder = TruncatedAdder(16, 12)
+        self._assert_keys_match(study.design_space([
+            adder_point(adder),
+            adder_point(adder, config={"quality": 50}),
+            adder_point(adder, config={"image": np.zeros((16, 16),
+                                                         dtype=np.uint8)}),
+        ]))
+
+
+class TestSuiteReadsEachRecordOnce(object):
+    """A reduced run executes each sweep once, however many experiments
+    view it: one probe read per sweep record and hardware operator."""
+
+    def test_reduced_suite_loads_and_saves(self, tmp_path, monkeypatch):
+        from collections import Counter
+
+        from repro.experiments import run_all
+
+        loads, saves, saved = Counter(), Counter(), Counter()
+        real_load, real_save = ResultStore.load_key, ResultStore.save_key
+
+        def load_key(store, record):
+            loads[record.kind] += 1
+            return real_load(store, record)
+
+        def save_key(store, record, payload):
+            saves[record.kind] += 1
+            saved[record.kind, record.digest] += 1
+            return real_save(store, record, payload)
+
+        monkeypatch.setattr(ResultStore, "load_key", load_key)
+        monkeypatch.setattr(ResultStore, "save_key", save_key)
+        monkeypatch.setenv("REPRO_STORE_FSYNC", "0")
+        cold = run_all(reduced=True, store=tmp_path)
+        assert saves["sweep"] == 222
+        assert set(saved.values()) == {1}  # each record saved once
+        for sweep, view in (("fig5_fft_adders", "fft_joint_frontier"),
+                            ("fig6_jpeg", "jpeg_joint_frontier")):
+            # A view reports the store hits of the sweep it views.
+            assert cold.get(view).metadata["store_hits"] == \
+                cold.get(sweep).metadata["store_hits"] == 0
+        loads.clear()
+        saves.clear()
+        warm = run_all(reduced=True, store=tmp_path)
+        assert dict(loads) == {"sweep": 222, "hardware": 56}
+        assert not saves
+        assert warm.get("jpeg_joint_frontier").metadata["store_hits"] == \
+            len(warm.get("fig6_jpeg").rows)
+
+
 class TestResultStore(object):
     def test_round_trip(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -144,6 +247,17 @@ class TestResultStore(object):
         for garbage in ("", "{", "null", "[1, 2]", '{"store_version": 999}'):
             path.write_text(garbage)
             assert store.load("sweep", key) is None
+
+    def test_undecodable_bytes_are_clean_misses(self, tmp_path):
+        store = ResultStore(tmp_path)
+        key = {"x": 5}
+        path = store.save("sweep", key, {"metrics": {"m": 1.0}})
+        valid = path.read_bytes()
+        for garbage in (b"\xff\xfe\xfa", valid[:1] + b"\xff" + valid[1:]):
+            path.write_bytes(garbage)
+            assert store.load("sweep", key) is None
+        path.write_bytes(valid)
+        assert store.load("sweep", key) == {"metrics": {"m": 1.0}}
 
     def test_key_mismatch_is_clean_miss(self, tmp_path):
         store = ResultStore(tmp_path)
