@@ -505,16 +505,11 @@ def _cmd_merge(args: argparse.Namespace) -> int:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    from .experiments import EXPERIMENTS, experiment_names
+    from .experiments import describe_experiments
 
-    names = experiment_names(include_ablations=args.ablations)
     _emit({
         "command": "list",
-        "experiments": [
-            {"name": name, "title": EXPERIMENTS[name].title,
-             "ablation": EXPERIMENTS[name].ablation}
-            for name in names
-        ],
+        "experiments": describe_experiments(args.ablations),
         "backends": describe_backends(),
     })
     return 0

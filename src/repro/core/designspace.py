@@ -42,7 +42,7 @@ from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..fxp.format import FxpFormat
-from ..operators.adders import QuantizedOutputAdder, RoundedAdder, TruncatedAdder
+from ..operators.adders import ExactAdder, QuantizedOutputAdder, RoundedAdder, TruncatedAdder
 from ..operators.base import AdderOperator, MultiplierOperator, Operator
 from ..operators.multipliers import QuantizedOutputMultiplier, TruncatedMultiplier
 from .datapath import effective_data_width, minimal_adder_for, minimal_multiplier_for
@@ -273,6 +273,17 @@ def multiplier_point(multiplier: MultiplierOperator,
         axis=axis if axis is not None else classify_axis(multiplier),
         inject_pair=inject_pair,
         config=tuple(sorted((config or {}).items())))
+
+
+def exact_pair_point(multiplier: MultiplierOperator) -> DesignPoint:
+    """Multiplier-role point charged with the exact adder of its operand width.
+
+    The pairing of the paper's multiplier tables (II, IV and VI) and of
+    ``Study.multipliers``; :func:`multiplier_point` defaults to the
+    sizing-propagated adder instead.
+    """
+    return multiplier_point(multiplier,
+                            adder=ExactAdder(multiplier.input_width))
 
 
 def adder_axis(adders: Iterable[AdderOperator],

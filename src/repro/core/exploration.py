@@ -3,8 +3,9 @@
 These helpers generate exactly the operator configuration sets swept in the
 paper — truncated/rounded adders from 15 down to 2 output bits, every ACA
 prediction depth, every ETAIV block size, every RCAApx (accurate-bits, cell
-type) pair — plus Table I's multiplier set.  Pareto fronts over the
-resulting rows are :class:`~repro.core.results.ParetoFront`'s job.
+type) pair — plus the fixed-width multiplier set of Tables I, II, IV and
+VI.  Pareto fronts over the resulting rows are
+:class:`~repro.core.results.ParetoFront`'s job.
 """
 from __future__ import annotations
 
@@ -99,22 +100,33 @@ def unique_by_name(operators: Iterable[Operator]) -> List[Operator]:
     return unique
 
 
-def default_adder_sweep(input_width: int = 16) -> List[Operator]:
-    """The full 16-bit adder comparison set of Figures 3 and 4."""
-    operators: List[Operator] = []
-    operators.extend(sweep_truncated_adders(input_width))
-    operators.extend(sweep_rounded_adders(input_width))
-    operators.extend(sweep_aca_adders(input_width, range(2, input_width, 2)))
-    operators.extend(sweep_etaiv_adders(input_width))
-    operators.extend(sweep_rcaapx_adders(input_width, range(2, input_width, 2)))
-    return unique_by_name(operators)
+def default_adder_sweep(input_width: int = 16,
+                        reduced: bool = False) -> List[Operator]:
+    """The adder configurations plotted in Figures 3 and 4.
+
+    ``reduced=True`` keeps a representative subset (used by
+    ``repro run --reduced``); the full sweep mirrors the paper.
+    """
+    if reduced:
+        widths, depths, blocks, lsbs = ([15, 12, 10, 8, 5, 2], [4, 8, 12],
+                                        [2, 4, 8], [4, 8, 12])
+    else:
+        widths = depths = blocks = lsbs = None
+    return unique_by_name([*sweep_truncated_adders(input_width, widths),
+                           *sweep_rounded_adders(input_width, widths),
+                           *sweep_aca_adders(input_width, depths),
+                           *sweep_etaiv_adders(input_width, blocks),
+                           *sweep_rcaapx_adders(input_width, lsbs)])
 
 
 # --------------------------------------------------------------------------- #
-# Multiplier sets (Table I)
+# Multiplier sets (Tables I, II, IV and VI)
 # --------------------------------------------------------------------------- #
 def default_multiplier_set(input_width: int = 16) -> List[Operator]:
-    """The fixed-width multiplier comparison set of Table I."""
+    """The fixed-width multiplier comparison set of Tables I, II and IV.
+
+    Table VI sweeps it plus ``MULt(N, 4)``.
+    """
     return [
         TruncatedMultiplier(input_width, input_width),
         AAMMultiplier(input_width),

@@ -44,13 +44,12 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequ
 
 import numpy as np
 
-from ..operators.adders import ExactAdder
 from ..operators.base import AdderOperator, MultiplierOperator, Operator
 from ..workloads.base import OperatorMap, Workload, WorkloadResult
 from ..workloads.registry import parse_workload
 from .backends import BackendLike, backend_spec
 from .datapath import DatapathEnergyBreakdown, DatapathEnergyModel, OperationCounts
-from .designspace import DesignPoint, DesignSpace, adder_point, multiplier_point
+from .designspace import DesignPoint, DesignSpace, adder_point, exact_pair_point
 from .registry import parse_operator
 from .results import ExperimentResult, ParetoFront, ResultBundle
 from .store import ResultStore, StoreKey, StoreLike, canonical_key
@@ -115,7 +114,7 @@ def _operator_point(operator: OperatorLike, role: str) -> DesignPoint:
     if not isinstance(swept, MultiplierOperator):
         raise TypeError(f"{swept.name} is not a multiplier; it cannot be "
                         f"swept on the multiplier axis")
-    return multiplier_point(swept, adder=ExactAdder(swept.input_width))
+    return exact_pair_point(swept)
 
 
 #: Version of the functional simulation behind a sweep record: workload

@@ -15,35 +15,15 @@ New scenarios should be written as :mod:`repro.workloads` plugins with
 their own design spaces rather than as new modules in this package.
 """
 from .ablations import multiplier_compensation_ablation, rounding_mode_ablation
-from .adders_study import adder_error_cost_study, default_figure_sweep
-from .fft_study import (
-    default_fft_adder_sweep,
-    fft_adder_sweep,
-    fft_design_space,
-    fft_joint_frontier,
-    fft_multiplier_comparison,
-)
-from .hevc_study import (
-    TABLE3_ADDERS,
-    TABLE4_MULTIPLIERS,
-    hevc_adder_space,
-    hevc_adder_table,
-    hevc_multiplier_space,
-    hevc_multiplier_table,
-)
-from .jpeg_study import (
-    default_jpeg_adder_sweep,
-    jpeg_adder_sweep,
-    jpeg_design_space,
-    jpeg_joint_frontier,
-)
+from .adders_study import adder_error_cost_study
+from .fft_study import fft_adder_sweep, fft_joint_frontier, fft_multiplier_comparison
+from .hevc_study import TABLE3_ADDERS, hevc_adder_table, hevc_multiplier_table
+from .jpeg_study import jpeg_adder_sweep, jpeg_design_space, jpeg_joint_frontier
 from .kmeans_study import (
     TABLE5_ADDERS,
     TABLE6_MULTIPLIERS,
     default_point_clouds,
-    kmeans_adder_space,
     kmeans_adder_table,
-    kmeans_multiplier_space,
     kmeans_multiplier_table,
 )
 from .multipliers_study import multiplier_comparison
@@ -52,6 +32,7 @@ from .runner import (
     ExperimentSpec,
     RunAllResult,
     RunConfig,
+    describe_experiments,
     experiment_names,
     merge_run,
     run_all,
@@ -61,26 +42,17 @@ from .search_study import fft_heterogeneous_search
 
 __all__ = [
     "adder_error_cost_study",
-    "default_figure_sweep",
     "multiplier_comparison",
     "fft_adder_sweep",
-    "fft_design_space",
     "fft_joint_frontier",
     "fft_multiplier_comparison",
-    "default_fft_adder_sweep",
     "jpeg_adder_sweep",
     "jpeg_design_space",
     "jpeg_joint_frontier",
-    "default_jpeg_adder_sweep",
-    "hevc_adder_space",
     "hevc_adder_table",
-    "hevc_multiplier_space",
     "hevc_multiplier_table",
     "TABLE3_ADDERS",
-    "TABLE4_MULTIPLIERS",
-    "kmeans_adder_space",
     "kmeans_adder_table",
-    "kmeans_multiplier_space",
     "kmeans_multiplier_table",
     "default_point_clouds",
     "TABLE5_ADDERS",
@@ -95,5 +67,6 @@ __all__ = [
     "ExperimentSpec",
     "EXPERIMENTS",
     "experiment_names",
+    "describe_experiments",
     "select_experiments",
 ]

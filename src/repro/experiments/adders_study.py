@@ -14,17 +14,10 @@ but unrun :class:`~repro.core.study.Study`; ``.run()`` regenerates the table.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..core.designspace import operator_axis
-from ..core.exploration import (
-    sweep_aca_adders,
-    sweep_etaiv_adders,
-    sweep_rcaapx_adders,
-    sweep_rounded_adders,
-    sweep_truncated_adders,
-    unique_by_name,
-)
+from ..core.exploration import default_adder_sweep
 from ..core.study import Study, SweepOutcome
 from ..operators.base import Operator
 
@@ -47,30 +40,6 @@ def _group_name(operator: Operator) -> str:
     return "other"
 
 
-def default_figure_sweep(input_width: int = 16,
-                         reduced: bool = False) -> List[Operator]:
-    """The adder configurations plotted in Figures 3 and 4.
-
-    ``reduced=True`` keeps a representative subset (used by
-    ``repro run --reduced``); the full sweep mirrors the paper.
-    """
-    if reduced:
-        operators: List[Operator] = []
-        operators.extend(sweep_truncated_adders(input_width, [15, 12, 10, 8, 5, 2]))
-        operators.extend(sweep_rounded_adders(input_width, [15, 12, 10, 8, 5, 2]))
-        operators.extend(sweep_aca_adders(input_width, [4, 8, 12]))
-        operators.extend(sweep_etaiv_adders(input_width, [2, 4, 8]))
-        operators.extend(sweep_rcaapx_adders(input_width, [4, 8, 12]))
-        return unique_by_name(operators)
-    operators = []
-    operators.extend(sweep_truncated_adders(input_width))
-    operators.extend(sweep_rounded_adders(input_width))
-    operators.extend(sweep_aca_adders(input_width))
-    operators.extend(sweep_etaiv_adders(input_width))
-    operators.extend(sweep_rcaapx_adders(input_width))
-    return unique_by_name(operators)
-
-
 def adder_error_cost_study(input_width: int = 16,
                            operators: Optional[Sequence[Operator]] = None,
                            error_samples: int = 50_000,
@@ -78,7 +47,7 @@ def adder_error_cost_study(input_width: int = 16,
                            reduced: bool = False) -> Study:
     """The study behind Figures 3 (MSE) and 4 (BER), as one table."""
     if operators is None:
-        operators = default_figure_sweep(input_width, reduced=reduced)
+        operators = default_adder_sweep(input_width, reduced=reduced)
 
     def row(point: SweepOutcome) -> dict:
         return dict(

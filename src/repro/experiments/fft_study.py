@@ -19,25 +19,12 @@ model); ``.run()`` produces the result.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from ..core.designspace import DesignSpace, adder_axis, joint_adder_space, multiplier_axis
+from ..core.designspace import DesignSpace, adder_axis, exact_pair_point, joint_adder_space
+from ..core.exploration import default_multiplier_set
 from ..core.study import Study, SweepOutcome
-from ..operators.adders import ExactAdder
 from ..operators.base import AdderOperator, MultiplierOperator
-from ..operators.multipliers import AAMMultiplier, ABMMultiplier, TruncatedMultiplier
-
-
-def fft_design_space(input_width: int = 16,
-                     reduced: bool = False) -> DesignSpace:
-    """The Figure 5 design space: sized and approximate adder axes joined."""
-    return joint_adder_space(input_width, reduced=reduced)
-
-
-def default_fft_adder_sweep(input_width: int = 16,
-                            reduced: bool = False) -> List[AdderOperator]:
-    """Adder configurations of Figure 5 (the design space's adder slots)."""
-    return [point.adder for point in fft_design_space(input_width, reduced)]
 
 
 def fft_adder_sweep(size: int = 32, input_width: int = 16,
@@ -45,7 +32,7 @@ def fft_adder_sweep(size: int = 32, input_width: int = 16,
                     frames: int = 8, reduced: bool = False) -> Study:
     """The study behind Figure 5 (FFT-32 energy versus PSNR, adders swept)."""
     if adders is None:
-        space = fft_design_space(input_width, reduced=reduced)
+        space = joint_adder_space(input_width, reduced=reduced)
     else:
         space = adder_axis(adders)
 
@@ -124,9 +111,8 @@ def fft_multiplier_comparison(size: int = 32, input_width: int = 16,
                               frames: int = 8) -> Study:
     """The study behind Table II (FFT-32 with fixed-width multipliers)."""
     if multipliers is None:
-        multipliers = [TruncatedMultiplier(input_width, input_width),
-                       AAMMultiplier(input_width), ABMMultiplier(input_width)]
-    space = multiplier_axis(multipliers, pair=ExactAdder(input_width))
+        multipliers = default_multiplier_set(input_width)
+    space = DesignSpace(map(exact_pair_point, multipliers))
 
     def row(point: SweepOutcome) -> dict:
         return dict(

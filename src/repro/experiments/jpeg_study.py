@@ -18,7 +18,7 @@ model); ``.run()`` produces the result.
 """
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,12 +48,6 @@ def jpeg_design_space(input_width: int = 16,
         + list(sweep_rcaapx_adders(input_width, [4, 8], fa_types=(1, 3)))
     return joint_adder_space(input_width, sized_widths=[15, 13, 11, 9],
                              approximate=approximate)
-
-
-def default_jpeg_adder_sweep(input_width: int = 16,
-                             reduced: bool = False) -> List[AdderOperator]:
-    """Adder configurations of Figure 6 (the design space's adder slots)."""
-    return [point.adder for point in jpeg_design_space(input_width, reduced)]
 
 
 def jpeg_adder_sweep(image: Optional[np.ndarray] = None, quality: int = 90,

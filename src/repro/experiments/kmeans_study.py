@@ -8,7 +8,8 @@ several generated point clouds (the paper uses 5 sets of 5000 points around
 10 random centres).
 
 Implemented as declarative design spaces over the
-:mod:`repro.core.designspace` engine with the ``"kmeans"`` workload plugin.
+:mod:`repro.core.designspace` engine with the ``"kmeans"`` workload plugin,
+laid out by :func:`~repro.experiments.hevc_study.operator_table`.
 Each table function returns its configured but unrun
 :class:`~repro.core.study.Study` (energy charged by a fresh Equation 1
 model); ``.run()`` produces the table.
@@ -18,17 +19,12 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from ..apps.kmeans import PointCloud, generate_point_cloud
-from ..core.designspace import DesignSpace, adder_axis, multiplier_point
-from ..core.study import Study, SweepOutcome
-from ..operators.adders import (
-    ACAAdder,
-    ETAIVAdder,
-    ExactAdder,
-    RCAApxAdder,
-    TruncatedAdder,
-)
+from ..core.exploration import default_multiplier_set
+from ..core.study import Study
+from ..operators.adders import ACAAdder, ETAIVAdder, RCAApxAdder, TruncatedAdder
 from ..operators.base import AdderOperator, MultiplierOperator
-from ..operators.multipliers import AAMMultiplier, ABMMultiplier, TruncatedMultiplier
+from ..operators.multipliers import TruncatedMultiplier
+from .hevc_study import operator_table
 
 #: Adder configurations of Table V (high-accuracy group then low-accuracy group).
 TABLE5_ADDERS = (
@@ -42,13 +38,8 @@ TABLE5_ADDERS = (
     RCAApxAdder(16, 10, 1),
 )
 
-#: Multiplier configurations of Table VI.
-TABLE6_MULTIPLIERS = (
-    TruncatedMultiplier(16, 16),
-    AAMMultiplier(16),
-    ABMMultiplier(16),
-    TruncatedMultiplier(16, 4),
-)
+#: Multiplier configurations of Table VI: Table IV's set plus ``MULt(16,4)``.
+TABLE6_MULTIPLIERS = (*default_multiplier_set(16), TruncatedMultiplier(16, 4))
 
 
 def default_point_clouds(runs: int = 5, points_per_run: int = 5000,
@@ -58,25 +49,6 @@ def default_point_clouds(runs: int = 5, points_per_run: int = 5000,
             for seed in range(runs)]
 
 
-def kmeans_adder_space(adders: Sequence[AdderOperator] = TABLE5_ADDERS
-                       ) -> DesignSpace:
-    """Table V as a design space (sizing-propagated multiplier pairing)."""
-    return adder_axis(adders)
-
-
-def kmeans_multiplier_space(
-        multipliers: Sequence[MultiplierOperator] = TABLE6_MULTIPLIERS
-) -> DesignSpace:
-    """Table VI as a design space.
-
-    Each multiplier is paired with the exact adder of its *own* operand
-    width (the paper's setup, and what the pre-design-space sweep charged).
-    """
-    return DesignSpace(
-        multiplier_point(multiplier, adder=ExactAdder(multiplier.input_width))
-        for multiplier in multipliers)
-
-
 def kmeans_adder_table(clouds: Optional[Sequence[PointCloud]] = None,
                        adders: Sequence[AdderOperator] = TABLE5_ADDERS,
                        runs: int = 3, points_per_run: int = 2000,
@@ -84,31 +56,12 @@ def kmeans_adder_table(clouds: Optional[Sequence[PointCloud]] = None,
     """The study behind Table V (distance computation with the adders swapped)."""
     if clouds is None:
         clouds = default_point_clouds(runs, points_per_run)
-
-    def row(point: SweepOutcome) -> dict:
-        return dict(
-            adder=point.adder.name,
-            success_rate_percent=point.metrics["success_rate"] * 100.0,
-            adder_energy_pj=point.energy_model.energy_per_addition_pj(point.adder),
-            mult_energy_pj=point.energy_model.energy_per_multiplication_pj(
-                point.multiplier),
-            total_energy_pj=point.energy.total_energy_pj,
-        )
-
-    return (Study()
-            .workload("kmeans", clouds=tuple(clouds), iterations=iterations)
-            .design_space(kmeans_adder_space(adders))
-            .energy()
-            .experiment(
-                "table5_kmeans_adders",
-                description=("K-means distance computation with 16-bit adders "
-                             "swapped: success rate and energy (Table V of "
-                             "the paper)"),
-                columns=["adder", "success_rate_percent", "adder_energy_pj",
-                         "mult_energy_pj", "total_energy_pj"],
-                metadata={"runs": len(clouds),
-                          "points_per_run": int(clouds[0].points.shape[0])})
-            .rows(row))
+    return operator_table(
+        Study().workload("kmeans", clouds=tuple(clouds), iterations=iterations),
+        "adder", adders, "success_rate", "table5_kmeans_adders",
+        "K-means distance computation with 16-bit adders swapped: success "
+        "rate and energy (Table V of the paper)",
+        {"runs": len(clouds), "points_per_run": int(clouds[0].points.shape[0])})
 
 
 def kmeans_multiplier_table(clouds: Optional[Sequence[PointCloud]] = None,
@@ -118,28 +71,9 @@ def kmeans_multiplier_table(clouds: Optional[Sequence[PointCloud]] = None,
     """The study behind Table VI (distance computation, multipliers swapped)."""
     if clouds is None:
         clouds = default_point_clouds(runs, points_per_run)
-
-    def row(point: SweepOutcome) -> dict:
-        return dict(
-            multiplier=point.multiplier.name,
-            success_rate_percent=point.metrics["success_rate"] * 100.0,
-            mult_energy_pj=point.energy_model.energy_per_multiplication_pj(
-                point.multiplier),
-            adder_energy_pj=point.energy_model.energy_per_addition_pj(point.adder),
-            total_energy_pj=point.energy.total_energy_pj,
-        )
-
-    return (Study()
-            .workload("kmeans", clouds=tuple(clouds), iterations=iterations)
-            .design_space(kmeans_multiplier_space(multipliers))
-            .energy()
-            .experiment(
-                "table6_kmeans_multipliers",
-                description=("K-means distance computation with 16-bit "
-                             "multipliers swapped: success rate and energy "
-                             "(Table VI of the paper)"),
-                columns=["multiplier", "success_rate_percent", "mult_energy_pj",
-                         "adder_energy_pj", "total_energy_pj"],
-                metadata={"runs": len(clouds),
-                          "points_per_run": int(clouds[0].points.shape[0])})
-            .rows(row))
+    return operator_table(
+        Study().workload("kmeans", clouds=tuple(clouds), iterations=iterations),
+        "multiplier", multipliers, "success_rate", "table6_kmeans_multipliers",
+        "K-means distance computation with 16-bit multipliers swapped: "
+        "success rate and energy (Table VI of the paper)",
+        {"runs": len(clouds), "points_per_run": int(clouds[0].points.shape[0])})

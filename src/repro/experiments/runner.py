@@ -214,6 +214,15 @@ def experiment_names(include_ablations: bool = True) -> List[str]:
             if include_ablations or not spec.ablation]
 
 
+def describe_experiments(include_ablations: bool = True
+                         ) -> List[Dict[str, object]]:
+    """``name``, ``title`` and ``ablation`` of each entry, in ``run_all``
+    order: the listing of ``repro list`` and the server's ``experiments``."""
+    return [{"name": name, "title": EXPERIMENTS[name].title,
+             "ablation": EXPERIMENTS[name].ablation}
+            for name in experiment_names(include_ablations)]
+
+
 def select_experiments(experiments: Optional[Sequence[str]] = None,
                        include_ablations: bool = True) -> List[ExperimentSpec]:
     """Resolve a selection (``None`` = the whole suite) against the registry.

@@ -437,16 +437,11 @@ def _pareto(state: ServerState, params: Dict[str, object]
 # --------------------------------------------------------------------------- #
 def _experiments(state: ServerState, params: Dict[str, object]
                  ) -> Dict[str, object]:
-    from ..experiments import EXPERIMENTS, experiment_names
+    from ..experiments import describe_experiments
 
-    names = experiment_names(
-        include_ablations=_optional_bool(params, "ablations", True))
     return {
-        "experiments": [
-            {"name": name, "title": EXPERIMENTS[name].title,
-             "ablation": EXPERIMENTS[name].ablation}
-            for name in names
-        ],
+        "experiments": describe_experiments(
+            _optional_bool(params, "ablations", True)),
         "workloads": registered_workloads(),
         "operators": registered_mnemonics(),
         "operator_details": describe_operators(),

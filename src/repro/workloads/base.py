@@ -8,11 +8,13 @@ a ``run`` method mapping operators to quality metrics plus an operation
 inventory — so the :class:`~repro.core.study.Study` pipeline can sweep any
 workload without knowing its internals, serially or across a process pool.
 
-A workload may also override :meth:`Workload.run_many`, which the study
-hands every pending point of a serial sweep at once; the default loops over
-``run``.  The FFT workload uses it to stack candidates that share a
-stimulus into one transform, and the K-means workload to fit each exact
-reference once per cloud rather than once per point.
+A workload may also override :meth:`Workload.run_many`.  The study cuts a
+sweep's pending points into ``min(workers, pending)`` contiguous chunks and
+hands each chunk to one ``run_many`` call, in process or on the run's
+process pool; the default loops over ``run``.  The FFT workload uses it to
+stack candidates that share a stimulus into one transform, and the K-means
+workload to fit each exact reference once per cloud rather than once per
+point.
 
 Writing a new scenario is therefore a ~50-line plugin::
 
@@ -88,9 +90,10 @@ class Workload(ABC):
     may invoke it in worker processes, and serial and parallel execution are
     required to produce identical results.
 
-    The study executes points through :meth:`run_many`: a serial sweep
-    hands it every pending point at once, and each process-pool worker
-    calls it with a single point.  The default loops over :meth:`run`;
+    The study executes points through :meth:`run_many`: it cuts a sweep's
+    pending points into ``min(workers, pending)`` contiguous chunks and
+    makes one call per chunk, in process or on the run's process pool (a
+    serial sweep is one chunk).  The default loops over :meth:`run`;
     override it when points can share work (the FFT workload stacks
     candidates into one transform; the K-means workload shares the exact
     reference fits).  An override must return exactly what ``run`` would

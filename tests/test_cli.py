@@ -50,6 +50,19 @@ def test_list_reports_the_registry(capsys):
     assert sorted(document["experiments"]) == sorted(experiment_names())
 
 
+@pytest.mark.parametrize("ablations", [True, False])
+def test_list_equals_the_server_experiments_action(capsys, ablations):
+    from repro.server import ServerState, dispatch
+
+    status, document, _ = run_cli(
+        capsys, *(["list"] if ablations else ["list", "--no-ablations"]))
+    envelope = dispatch(ServerState(), "experiments", {"ablations": ablations})
+    assert status == 0 and envelope["status"] == "ok"
+    listed = document["experiments"]
+    assert listed == envelope["result"]["experiments"]
+    assert any(entry["ablation"] for entry in listed) is ablations
+
+
 def test_no_command_prints_help_and_fails(capsys):
     assert main([]) == 2
 

@@ -13,6 +13,7 @@ from repro.core.designspace import (
     adder_axis,
     adder_point,
     classify_axis,
+    exact_pair_point,
     joint_adder_space,
     multiplier_axis,
     operator_axis,
@@ -110,12 +111,28 @@ class TestDesignSpace(object):
         space = DesignSpace([first, second, other])
         assert len(space) == 2
 
-    def test_table_multiplier_spaces_pair_per_operand_width(self):
-        from repro.experiments import hevc_multiplier_space
+    def test_table_multiplier_spaces_pair_per_operand_width(self, small_image,
+                                                           point_cloud):
+        from repro.experiments import (
+            fft_multiplier_comparison,
+            hevc_multiplier_table,
+            kmeans_multiplier_table,
+        )
 
-        space = hevc_multiplier_space([TruncatedMultiplier(8, 8),
-                                       TruncatedMultiplier(16, 16)])
-        assert [p.adder.name for p in space] == ["ADD(8)", "ADD(16)"]
+        multipliers = [TruncatedMultiplier(8, 8), TruncatedMultiplier(16, 16)]
+        studies = {
+            "Study.multipliers": Study().multipliers(multipliers),
+            "Table II": fft_multiplier_comparison(multipliers=multipliers),
+            "Table IV": hevc_multiplier_table(image=small_image,
+                                              multipliers=multipliers),
+            "Table VI": kmeans_multiplier_table(clouds=[point_cloud],
+                                                multipliers=multipliers),
+        }
+        assert [exact_pair_point(m).adder.name for m in multipliers] \
+            == ["ADD(8)", "ADD(16)"]
+        for source, study in studies.items():
+            assert [p.adder.name for p in study._points] \
+                == ["ADD(8)", "ADD(16)"], source
 
     def test_inject_pair_feeds_partner_into_simulation(self):
         def study(inject):

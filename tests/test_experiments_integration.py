@@ -8,16 +8,15 @@ substituted hardware substrate.
 import numpy as np
 import pytest
 
+from repro.core import default_adder_sweep, default_multiplier_set, joint_adder_space
 from repro.experiments import (
     adder_error_cost_study,
-    default_figure_sweep,
-    default_fft_adder_sweep,
-    default_jpeg_adder_sweep,
     fft_adder_sweep,
     fft_multiplier_comparison,
     hevc_adder_table,
     hevc_multiplier_table,
     jpeg_adder_sweep,
+    jpeg_design_space,
     kmeans_adder_table,
     kmeans_multiplier_table,
     multiplier_compensation_ablation,
@@ -50,10 +49,34 @@ def table1():
     return multiplier_comparison(error_samples=20_000, hardware_samples=400).run()
 
 
+def swept_names(study):
+    return [key["swept"] for key in study.point_keys()]
+
+
+class TestSweepDefinitions(object):
+    """The exported operator sets are exactly what the experiments sweep."""
+
+    @pytest.mark.parametrize("reduced", [True, False])
+    def test_default_adder_sweep_is_the_figure3_4_sweep(self, reduced):
+        names = [operator.name
+                 for operator in default_adder_sweep(reduced=reduced)]
+        assert names == swept_names(adder_error_cost_study(reduced=reduced))
+        assert len(names) == (27 if reduced else 88)
+
+    def test_multiplier_tables_sweep_the_default_set(self, small_image,
+                                                     point_cloud):
+        names = [operator.name for operator in default_multiplier_set()]
+        assert swept_names(multiplier_comparison()) == names
+        assert swept_names(fft_multiplier_comparison()) == names
+        assert swept_names(hevc_multiplier_table(image=small_image)) == names
+        assert swept_names(kmeans_multiplier_table(clouds=[point_cloud])) \
+            == names + ["MULt(16,4)"]
+
+
 class TestFigure3And4(object):
     def test_reduced_sweep_covers_every_group(self):
         """The reduced run plots every legend group of Figs. 3 and 4."""
-        operators = default_figure_sweep(reduced=True)
+        operators = default_adder_sweep(reduced=True)
         assert len(operators) >= 15
         assert {_group_name(operator) for operator in operators} >= {
             "Fxp add. - trunc.", "Fxp add. - round.", "ACA", "ETAIV",
@@ -143,7 +166,7 @@ class TestTable1(object):
 
 class TestFftExperiments(object):
     def test_figure5_reduced_space(self):
-        adders = default_fft_adder_sweep(reduced=True)
+        adders = [point.adder for point in joint_adder_space(reduced=True)]
         assert len(adders) >= 10
         assert any(adder.name.startswith("ADDt") for adder in adders)
 
@@ -179,7 +202,7 @@ class TestJpegExperiment(object):
         return jpeg_adder_sweep(image=small_image, adders=adders).run()
 
     def test_figure6_reduced_space(self):
-        assert len(default_jpeg_adder_sweep(reduced=True)) >= 8
+        assert len(jpeg_design_space(reduced=True)) >= 8
 
     def test_figure6_best_fxp_mssim(self, figure6):
         fxp = [r for r in figure6.rows if r["adder"].startswith("ADDt")]
